@@ -246,7 +246,6 @@ def analyze_system(
             f"trial-sequence enumeration supports groups of at most "
             f"{_MAX_GROUP_SIZE} members, got {group.size}"
         )
-    retrials = 1 if spec.algorithm == "SP" else spec.retrials
 
     route_tables = {
         source: RouteTable(network, source, group.members)
@@ -276,7 +275,7 @@ def analyze_system(
     for outer_iterations in range(1, max_outer_iterations + 1):
         trial_models = {
             source: _sequential_trial_model(
-                weights[source], rejections[source], retrials
+                weights[source], rejections[source], spec.effective_retrials
             )
             for source in workload.sources
         }
@@ -316,7 +315,9 @@ def analyze_system(
 
     # Final evaluation with the converged rejection vector.
     trial_models = {
-        source: _sequential_trial_model(weights[source], rejections[source], retrials)
+        source: _sequential_trial_model(
+            weights[source], rejections[source], spec.effective_retrials
+        )
         for source in workload.sources
     }
     total_rate = 0.0

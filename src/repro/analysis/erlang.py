@@ -31,7 +31,9 @@ def erlang_b(load_erlangs: float, capacity: int) -> float:
 
     Uses the recursion ``B_0 = 1``,
     ``B_c = v B_{c-1} / (c + v B_{c-1})``, which is stable for any
-    load and linear in ``capacity``.
+    load and linear in ``capacity``.  Once ``B_c`` underflows to 0.0
+    every later step is 0.0 too, so the recursion stops there: huge
+    capacities at light load cost only the steps before underflow.
 
     Parameters
     ----------
@@ -54,6 +56,8 @@ def erlang_b(load_erlangs: float, capacity: int) -> float:
     blocking = 1.0
     for c in range(1, capacity + 1):
         blocking = load_erlangs * blocking / (c + load_erlangs * blocking)
+        if blocking == 0.0:
+            break
     return blocking
 
 

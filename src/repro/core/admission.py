@@ -161,19 +161,20 @@ class ACRouter:
             )
         decided_at = request.arrival_time if now is None else now
         self.requests_seen += 1
+        selector = self.selector
+        bandwidth_bps = request.bandwidth_bps
         tried: list[NodeId] = []
         excluded: set[NodeId] = set()
         attempts = 0
         while True:
-            exclude = frozenset(excluded)
-            destination = self.selector.select(self.rng, exclude=exclude)
+            destination = selector.select(self.rng, exclude=excluded)
             attempts += 1
             tried.append(destination)
             route = self.routes.route_to(destination)
             success = self.reservation.try_reserve(
-                route, request.flow_id, request.bandwidth_bps
+                route, request.flow_id, bandwidth_bps
             )
-            self.selector.observe(destination, success)
+            selector.observe(destination, success)
             if success:
                 self.requests_admitted += 1
                 self.total_attempts += attempts

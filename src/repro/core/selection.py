@@ -33,9 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Hashable,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
+    from repro.network.link import LinkStateArrays
     from repro.network.state import BandwidthView
 
 from repro.core.history import AdmissionHistory
@@ -138,9 +146,13 @@ class DestinationSelector(Protocol):
         ...
 
     def select(
-        self, rng: RandomStream, exclude: frozenset[NodeId] = frozenset()
+        self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
-        """Draw a destination, renormalizing over non-excluded members."""
+        """Draw a destination, renormalizing over non-excluded members.
+
+        ``exclude`` is only read during the call; the AC-routers pass
+        their live set of refused destinations.
+        """
         ...
 
     def observe(self, member: NodeId, success: bool) -> None:
@@ -156,6 +168,7 @@ class _WeightedSelectorBase:
     def __init__(self, context: SelectionContext) -> None:
         self.context = context
         self.group = context.group
+        self._members = context.group.members
 
     def weights(self) -> list[float]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -164,20 +177,21 @@ class _WeightedSelectorBase:
         """Default: stateless selectors ignore outcomes."""
 
     def select(
-        self, rng: RandomStream, exclude: frozenset[NodeId] = frozenset()
+        self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
-        members = self.group.members
+        members = self._members
         weights = self.weights()
         if exclude:
-            candidates = [m for m in members if m not in exclude]
+            candidates: list[NodeId] = []
+            candidate_weights: list[float] = []
+            for member, weight in zip(members, weights):
+                if member not in exclude:
+                    candidates.append(member)
+                    candidate_weights.append(weight)
             if not candidates:
                 raise ValueError("all group members excluded")
-            candidate_weights = [
-                weights[self.group.index_of(m)] for m in candidates
-            ]
-            candidate_weights = _renormalize(candidate_weights)
-            return rng.weighted_choice(candidates, candidate_weights)
-        return rng.weighted_choice(list(members), weights)
+            return rng.weighted_choice(candidates, _renormalize(candidate_weights))
+        return rng.weighted_choice(members, weights)
 
 
 class EvenDistribution(_WeightedSelectorBase):
@@ -305,6 +319,11 @@ class DistanceBandwidthWeighted(_WeightedSelectorBase):
     the selector falls back to inverse-distance weights so the draw
     stays well defined.
 
+    Under the live view the weights are computed in one pass: each
+    route's link ids are resolved once, and every selection scans the
+    network's :class:`~repro.network.link.LinkStateArrays` columns
+    inline instead of calling the view per route.
+
     Parameters
     ----------
     view:
@@ -325,23 +344,44 @@ class DistanceBandwidthWeighted(_WeightedSelectorBase):
         super().__init__(context)
         self._distances = [float(d) for d in context.routes.distances()]
         self._routes = context.routes.routes()
-        if view is None:
-            from repro.network.state import LiveBandwidthView
+        from repro.network.state import LiveBandwidthView
 
+        if view is None:
             view = LiveBandwidthView(context.network)
         self.view = view
+        #: The live view's link-state columns (``None`` for other
+        #: views) and each route's link ids in them.
+        self._live: Optional["LinkStateArrays"] = None
+        self._hops: list[tuple[int, ...]] = [()] * len(self._routes)
+        if isinstance(view, LiveBandwidthView):
+            network = view.network
+            self._live = network.link_state
+            self._hops = [route.resolve_link_indices(network) for route in self._routes]
 
     def weights(self) -> list[float]:
         routes = self._routes
+        live = self._live
+        if live is not None:
+            capacity = live.capacity
+            reserved = live.reserved
         scores: list[float] = []
-        for route, distance in zip(routes, self._distances):
-            bandwidth = self.view.route_available_bps(route)
+        for route, hops, distance in zip(routes, self._hops, self._distances):
+            if live is None:
+                bandwidth = self.view.route_available_bps(route)
+            else:
+                # Route.bottleneck_bps, inline.
+                bandwidth = math.inf
+                for i in hops:
+                    available = capacity[i] - reserved[i]
+                    if available < bandwidth:
+                        bandwidth = available
             if distance == 0:
                 # Zero-hop route: free to use; dominate the weights.
                 return [
                     1.0 if r.distance == 0 else 0.0 for r in routes
                 ]
-            scores.append(max(0.0, bandwidth) / distance)
+            # max(0, B) / D: a non-positive (or NaN) B scores 0.0 / D.
+            scores.append(bandwidth / distance if bandwidth > 0.0 else 0.0)
         total = sum(scores)
         if total <= 0:
             return distance_weights(self._distances)
@@ -428,7 +468,7 @@ class ShortestPathSelector(_WeightedSelectorBase):
         ]
 
     def select(
-        self, rng: RandomStream, exclude: frozenset[NodeId] = frozenset()
+        self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
         if self._choice in exclude:
             # SP has no second choice; fall back to the next-nearest

@@ -42,16 +42,6 @@ NodeId = Hashable
 #: Recognized algorithm names, as printed in the paper.
 ALGORITHM_NAMES = ("ED", "WD/D", "WD/D+H", "WD/D+B", "WD/D+H+B", "SP", "GDI")
 
-_SELECTOR_CLASSES = {
-    "ED": EvenDistribution,
-    "WD/D": DistanceWeighted,
-    "WD/D+H": DistanceHistoryWeighted,
-    "WD/D+B": DistanceBandwidthWeighted,
-    "WD/D+H+B": HybridWeighted,
-    "SP": ShortestPathSelector,
-}
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """A system in the paper's ``<A, R>`` notation.
@@ -102,6 +92,15 @@ class SystemSpec:
     def is_distributed(self) -> bool:
         """Whether the system runs per-source AC-routers (all but GDI)."""
         return self.algorithm != "GDI"
+
+    @property
+    def effective_retrials(self) -> int:
+        """The retrial limit the system actually runs with.
+
+        SP has a single choice, so it always runs with ``R = 1``
+        whatever ``retrials`` says.
+        """
+        return 1 if self.algorithm == "SP" else self.retrials
 
     @property
     def label(self) -> str:
@@ -274,13 +273,12 @@ def build_system(
         routes = RouteTable(network, source, group.members)
         context = SelectionContext(network=network, routes=routes, group=group)
         selector = build_selector(spec, context, bandwidth_view)
-        retrials = 1 if spec.algorithm == "SP" else spec.retrials
         controllers[source] = ACRouter(
             network=network,
             source=source,
             group=group,
             selector=selector,
-            retrial_policy=CounterRetrialPolicy(retrials),
+            retrial_policy=CounterRetrialPolicy(spec.effective_retrials),
             rng=streams.stream(f"select.{source}"),
             reservation=reservation,
             resample_failed=spec.resample_failed,

@@ -227,7 +227,6 @@ class ChaosSimulation:
             retransmit=RetransmitPolicy(backoff, chaos.max_retransmits),
             leases=self.leases,
         )
-        retrials = 1 if system_spec.algorithm == "SP" else system_spec.retrials
         self.routers: dict[NodeId, SignalledACRouter] = {}
         for source in workload.sources:
             routes = RouteTable(self.network, source, workload.group.members)
@@ -240,7 +239,7 @@ class ChaosSimulation:
                 source,
                 workload.group,
                 build_selector(system_spec, context),
-                CounterRetrialPolicy(retrials),
+                CounterRetrialPolicy(system_spec.effective_retrials),
                 rng=self.streams.stream(f"select.{source}"),
                 engine=self.engine,
             )

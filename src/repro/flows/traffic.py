@@ -166,6 +166,8 @@ class TrafficModel:
         self._class = streams.stream("traffic.class")
         self._next_flow_id = 0
         self._clock = 0.0
+        # Without a class mix every request carries the same (frozen) QoS.
+        self._qos = spec.qos() if spec.bandwidth_classes is None else None
 
     @property
     def generated_count(self) -> int:
@@ -182,17 +184,19 @@ class TrafficModel:
         else:
             source = self._source.choice(self.spec.sources)
         lifetime = self._lifetime.exponential(self.spec.mean_lifetime_s)
-        bandwidth: Optional[float] = None
-        if self.spec.bandwidth_classes is not None:
-            bandwidth = self._class.weighted_choice(
-                [bw for bw, _ in self.spec.bandwidth_classes],
-                [p for _, p in self.spec.bandwidth_classes],
+        qos = self._qos
+        if qos is None:
+            classes = self.spec.bandwidth_classes
+            qos = self.spec.qos(
+                self._class.weighted_choice(
+                    [bw for bw, _ in classes], [p for _, p in classes]
+                )
             )
         request = FlowRequest(
             flow_id=self._next_flow_id,
             source=source,
             group=self.spec.group,
-            qos=self.spec.qos(bandwidth),
+            qos=qos,
             arrival_time=self._clock,
             lifetime_s=lifetime,
         )

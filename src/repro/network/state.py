@@ -75,30 +75,19 @@ class LiveBandwidthView:
     def __init__(self, network: Network) -> None:
         self._network = network
 
+    @property
+    def network(self) -> Network:
+        """The network this view reads."""
+        return self._network
+
     def path_available_bps(self, path: Sequence[NodeId]) -> float:
         """Current bottleneck bandwidth of ``path``."""
         return self._network.path_available_bps(path)
 
     def route_available_bps(self, route: "Route") -> float:
-        """Current bottleneck bandwidth of ``route``.
-
-        Scans the network's shared :class:`LinkStateArrays` columns by
-        the route's cached link ids — one subtract and compare per
-        hop, no per-link attribute walks or dict lookups.
-        """
-        network = self._network
-        indices = route.resolve_link_indices(network)
-        if not indices:
-            return float("inf")
-        state = network.link_state
-        capacity = state.capacity
-        reserved = state.reserved
-        best = float("inf")
-        for i in indices:
-            available = capacity[i] - reserved[i]
-            if available < best:
-                best = available
-        return best
+        """Current bottleneck bandwidth of ``route`` (its
+        :meth:`~repro.network.routing.Route.bottleneck_bps`)."""
+        return route.bottleneck_bps(self._network)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "LiveBandwidthView()"

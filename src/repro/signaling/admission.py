@@ -130,9 +130,7 @@ class SignalledACRouter:
         robust = self.engine.robust
 
         def attempt() -> None:
-            destination = self.selector.select(
-                self.rng, exclude=frozenset(state["excluded"])
-            )
+            destination = self.selector.select(self.rng, exclude=state["excluded"])
             state["attempts"] += 1
             state["tried"].append(destination)
             route = self.routes.route_to(destination)

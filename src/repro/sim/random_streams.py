@@ -15,11 +15,24 @@ sequences, which makes whole experiments bit-for-bit reproducible.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Sequence, TypeVar
+import math
+from typing import Any, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+#: Variates drawn per block.  Large enough that the per-block generator
+#: call and state save vanish per scalar, small enough that a stream's
+#: block stays a few tens of kilobytes.
+_BLOCK_SIZE = 1024
+
+#: Block kinds: no block, ``Generator.random``, and
+#: ``Generator.standard_exponential``.  A positive kind ``k`` is a block
+#: of ``Generator.integers(0, k)`` (uniform choice among ``k`` items).
+_NO_BLOCK = 0
+_RANDOM = -1
+_STANDARD_EXPONENTIAL = -2
 
 
 def _name_to_entropy(name: str) -> int:
@@ -33,6 +46,16 @@ class RandomStream:
 
     Thin wrapper over :class:`numpy.random.Generator` exposing exactly
     the variates the anycast model needs, with validation.
+
+    Variates are drawn in blocks: the first scalar of a kind draws
+    ``_BLOCK_SIZE`` of them in one generator call and later calls are
+    served from that block.  A size-n numpy draw equals n scalar draws
+    for every kind used here, so the sequence a stream yields does not
+    depend on the blocking.  When a stream switches kind (or draws an
+    :meth:`integer`) it first *rewinds*: the generator state saved at
+    the start of the block is restored and the variates already served
+    are redrawn in one call, leaving the generator exactly where the
+    equivalent scalar draws would have left it.
     """
 
     def __init__(
@@ -40,41 +63,101 @@ class RandomStream:
     ) -> None:
         self.name = name
         self._generator = np.random.Generator(np.random.PCG64(seed_sequence))
+        #: variates served so far (scalars, not blocks)
         self.draws = 0
+        self._kind = _NO_BLOCK
+        self._block: list[Any] = []
+        self._pos = 0
+        self._block_start: Mapping[str, Any] = {}
+
+    def _fill(self, kind: int, size: int) -> list[Any]:
+        """Draw ``size`` variates of ``kind`` in one generator call."""
+        generator = self._generator
+        block: list[Any]
+        if kind == _RANDOM:
+            block = generator.random(size).tolist()
+        elif kind == _STANDARD_EXPONENTIAL:
+            block = generator.standard_exponential(size).tolist()
+        else:
+            block = generator.integers(0, kind, size=size).tolist()
+        return block
+
+    def _rewind(self) -> None:
+        """Drop the block, leaving the generator just past the variates served."""
+        if self._pos < len(self._block):
+            self._generator.bit_generator.state = self._block_start
+            if self._pos:
+                self._fill(self._kind, self._pos)
+        self._kind = _NO_BLOCK
+        self._block = []
+        self._pos = 0
+
+    def _refill(self, kind: int) -> None:
+        """Start a fresh block of ``kind`` (rewinding any other kind first)."""
+        self._rewind()
+        self._block_start = self._generator.bit_generator.state
+        self._block = self._fill(kind, _BLOCK_SIZE)
+        self._kind = kind
 
     def exponential(self, mean: float) -> float:
         """Sample an exponential variate with the given mean."""
-        if mean <= 0:
-            raise ValueError(f"exponential mean must be positive, got {mean}")
+        if not 0.0 < mean < math.inf:
+            raise ValueError(
+                f"exponential mean must be positive and finite, got {mean}"
+            )
         self.draws += 1
-        return float(self._generator.exponential(mean))
+        if self._kind != _STANDARD_EXPONENTIAL or self._pos == _BLOCK_SIZE:
+            self._refill(_STANDARD_EXPONENTIAL)
+        pos = self._pos
+        self._pos = pos + 1
+        # numpy's exponential(mean) is mean * standard_exponential().
+        variate: float = self._block[pos]
+        return mean * variate
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Sample uniformly from ``[low, high)``."""
-        if high < low:
-            raise ValueError(f"need low <= high, got [{low}, {high})")
+        span = high - low
+        if not 0.0 <= span < math.inf:
+            raise ValueError(f"need finite low <= high, got [{low}, {high})")
         self.draws += 1
-        return float(self._generator.uniform(low, high))
+        if self._kind != _RANDOM or self._pos == _BLOCK_SIZE:
+            self._refill(_RANDOM)
+        pos = self._pos
+        self._pos = pos + 1
+        # numpy's uniform(low, high) is low + (high - low) * random().
+        variate: float = self._block[pos]
+        return low + span * variate
 
     def integer(self, low: int, high: int) -> int:
-        """Sample an integer uniformly from ``[low, high]`` inclusive."""
+        """Sample an integer uniformly from ``[low, high]`` inclusive.
+
+        The range varies between calls, so this is a scalar draw.
+        """
         if high < low:
             raise ValueError(f"need low <= high, got [{low}, {high}]")
         self.draws += 1
+        self._rewind()
         return int(self._generator.integers(low, high + 1))
 
     def choice(self, items: Sequence[T]) -> T:
         """Pick one item uniformly."""
-        if not items:
+        size = len(items)
+        if not size:
             raise ValueError("cannot choose from an empty sequence")
         self.draws += 1
-        return items[int(self._generator.integers(0, len(items)))]
+        if self._kind != size or self._pos == _BLOCK_SIZE:
+            self._refill(size)
+        pos = self._pos
+        self._pos = pos + 1
+        index: int = self._block[pos]
+        return items[index]
 
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Pick one item with probability proportional to its weight.
 
-        Weights must be non-negative with a positive sum; they are
-        normalized internally, so callers may pass unnormalized values.
+        Weights must be non-negative with a positive, finite sum; they
+        are normalized internally, so callers may pass unnormalized
+        values.
         """
         if len(items) != len(weights):
             raise ValueError(
@@ -84,31 +167,26 @@ class RandomStream:
             raise ValueError("cannot choose from an empty sequence")
         total = 0.0
         for weight in weights:
-            if weight < 0:
-                raise ValueError(f"negative weight {weight}")
+            if not weight >= 0:
+                raise ValueError(f"weights must be non-negative, got {weight}")
             total += weight
         if total <= 0:
             raise ValueError("weights must not all be zero")
+        if total == math.inf:
+            raise ValueError("weights must have a finite sum")
         self.draws += 1
-        point = self._generator.uniform(0.0, total)
+        if self._kind != _RANDOM or self._pos == _BLOCK_SIZE:
+            self._refill(_RANDOM)
+        pos = self._pos
+        self._pos = pos + 1
+        # Same variate as numpy's uniform(0.0, total).
+        point = total * self._block[pos]
         acc = 0.0
         for item, weight in zip(items, weights):
             acc += weight
             if point < acc:
                 return item
         return items[-1]  # guard against floating-point edge at total
-
-    def shuffle(self, items: "list[Any]") -> None:
-        """Shuffle ``items`` in place."""
-        self.draws += 1
-        self._generator.shuffle(items)
-
-    def poisson(self, mean: float) -> int:
-        """Sample a Poisson count with the given mean."""
-        if mean < 0:
-            raise ValueError(f"poisson mean must be non-negative, got {mean}")
-        self.draws += 1
-        return int(self._generator.poisson(mean))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStream({self.name!r}, draws={self.draws})"
@@ -144,18 +222,6 @@ class StreamFactory:
         stream = RandomStream(seed_sequence, name=name)
         self._issued[name] = stream
         return stream
-
-    def fresh(self, name: str, replication: int = 0) -> RandomStream:
-        """Return a *new* stream for (name, replication).
-
-        Unlike :meth:`stream`, this always constructs a fresh stream;
-        useful for independent replications of the same experiment.
-        """
-        seed_sequence = np.random.SeedSequence(
-            entropy=self.root_seed,
-            spawn_key=(_name_to_entropy(name), int(replication)),
-        )
-        return RandomStream(seed_sequence, name=f"{name}#{replication}")
 
     def issued_names(self) -> list[str]:
         """Names of all streams created so far, in creation order."""

@@ -145,6 +145,14 @@ class TestAnalyticProperties:
         sp = analyze_system(network, workload, SystemSpec("SP"))
         assert ed.admission_probability > sp.admission_probability
 
+    def test_sp_ignores_retrials(self):
+        workload = mci_workload(35.0)
+        network = mci_backbone()
+        one = analyze_system(network, workload, SystemSpec("SP"))
+        five = analyze_system(network, workload, SystemSpec("SP", retrials=5))
+        assert five.admission_probability == one.admission_probability
+        assert five.mean_attempts == one.mean_attempts == 1.0
+
     def test_mean_attempts_grow_with_load(self):
         network = mci_backbone()
         light = analyze_system(

@@ -7,6 +7,14 @@ import pytest
 from repro.analysis.erlang import erlang_b, erlang_b_inverse_load, uaa_blocking
 
 
+def full_recursion(load, capacity):
+    """Erlang-B by the plain recursion, run to the last slot."""
+    blocking = 1.0
+    for c in range(1, capacity + 1):
+        blocking = load * blocking / (c + load * blocking)
+    return blocking
+
+
 class TestErlangB:
     def test_zero_load_never_blocks(self):
         assert erlang_b(0.0, 10) == 0.0
@@ -59,6 +67,13 @@ class TestErlangB:
             erlang_b(-1.0, 10)
         with pytest.raises(ValueError):
             erlang_b(1.0, -1)
+
+    @pytest.mark.parametrize("capacity", [1, 7, 50, 312, 2_000, 20_000])
+    @pytest.mark.parametrize("load", [1e-300, 1e-3, 0.5, 3.0, 40.0, 312.0, 5e3])
+    def test_early_exit_matches_full_recursion(self, load, capacity):
+        # The grid includes loads whose recursion underflows to 0.0 long
+        # before the last slot (e.g. 1e-300 erlangs, or 3 on 2000 slots).
+        assert erlang_b(load, capacity) == full_recursion(load, capacity)
 
 
 class TestUaaBlocking:

@@ -55,6 +55,10 @@ class TestSystemSpec:
         assert SystemSpec("ED").is_distributed
         assert not SystemSpec("GDI").is_distributed
 
+    def test_effective_retrials(self):
+        assert SystemSpec("ED", retrials=3).effective_retrials == 3
+        assert SystemSpec("SP", retrials=5).effective_retrials == 1
+
     def test_all_algorithm_names_buildable(self, group):
         streams = StreamFactory(0)
         for name in ALGORITHM_NAMES:

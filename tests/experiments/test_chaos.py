@@ -122,6 +122,17 @@ class TestConfigValidation:
                 chaos=ChaosConfig(),
             )
 
+    def test_sp_forces_single_attempt(self):
+        config = small_config()
+        simulation = ChaosSimulation(
+            network_factory=config.network_factory(),
+            system_spec=SystemSpec("SP", retrials=5),
+            workload=config.workload(5.0),
+            chaos=ChaosConfig(),
+        )
+        for router in simulation.routers.values():
+            assert router.retrial_policy.max_attempts == 1
+
     def test_single_use(self):
         config = small_config()
         simulation = ChaosSimulation(
