@@ -27,6 +27,7 @@ sequence of a perfectly reliable plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Optional
 
@@ -102,6 +103,10 @@ class ChaosConfig:
     processing_delay_s: float = DEFAULT_PROCESSING_DELAY_S
 
     def __post_init__(self) -> None:
+        for name in ("lease_ttl_s", "refresh_interval_s", "gc_interval_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss rate must be in [0, 1), got {self.loss_rate}")
         if self.refresh_interval_s <= 0 or self.refresh_interval_s >= self.lease_ttl_s:
@@ -247,7 +252,6 @@ class ChaosSimulation:
         self.metrics = MetricsCollector(
             clock=lambda: self.simulator.now, batch_size=batch_size
         )
-        self._active: dict[int, AdmittedFlow] = {}
         self._decision_latency_total = 0.0
         self._decisions_in_window = 0
         self.refresh_messages = 0
@@ -282,34 +286,46 @@ class ChaosSimulation:
             flow = decision.result.flow
             assert flow is not None  # admitted implies a granted flow
             self.metrics.record_flow_start()
-            self._active[flow.flow_id] = flow
-            self.simulator.schedule(
-                request.lifetime_s, lambda: self._handle_departure(flow)
-            )
             key = decision.reservation_key
-            self.simulator.schedule(
-                self.chaos.refresh_interval_s, lambda: self._refresh(flow, key)
+            departure = self.simulator.schedule(
+                request.lifetime_s,
+                lambda: self._handle_departure(flow, key, refreshes),
             )
+            # Bound here, long before the departure reads it.
+            refreshes = self._hold_lease(key, departure.time)
 
-    def _refresh(self, flow: AdmittedFlow, key: Hashable) -> None:
-        """Periodic lease refresh by the flow's source.
+    def _hold_lease(self, key: Hashable, departure_at: float) -> int:
+        """Hold ``key``'s lease for its flow's refreshes; return their count.
 
-        Refreshes are modelled as reliable (their Path/Resv pair is
-        charged to the message totals but not dropped): a flow stays
-        admitted while its owner lives, and only lost teardowns/
-        reservations create orphans.  The loop ends with the flow.
+        The source refreshes every ``refresh_interval_s`` from admission
+        on.  Refreshes are modelled as reliable (their Path/Resv pair is
+        charged to the message totals but not dropped) and draw no
+        random numbers, so the admission time, the interval and the
+        departure fix the whole chain.  The tick times accumulate as
+        repeated ``schedule(interval)`` calls would place them, and a
+        departure at the same instant as a tick wins the tie (it is the
+        earlier-scheduled event), so only ticks strictly before it
+        refresh.
         """
-        if flow.released:
-            return
-        if not self.leases.refresh(key):
-            return
-        self.refresh_messages += 2 * max(0, len(flow.path) - 1)
-        self.simulator.schedule(
-            self.chaos.refresh_interval_s, lambda: self._refresh(flow, key)
-        )
+        interval = float(self.chaos.refresh_interval_s)
+        first = last = self.simulator.now + interval
+        if first >= departure_at:
+            return 0
+        refreshes = 1
+        while last + interval < departure_at:
+            last += interval
+            refreshes += 1
+        self.leases.hold(key, first, last)
+        return refreshes
 
-    def _handle_departure(self, flow: AdmittedFlow) -> None:
-        self._active.pop(flow.flow_id, None)
+    def _handle_departure(
+        self, flow: AdmittedFlow, key: Hashable, refreshes: int
+    ) -> None:
+        # A lease collected before the first refresh (signalling slower
+        # than TTL - interval) was never refreshed: its owner found it
+        # gone and stopped.  A lease alive at the first refresh lives on.
+        if refreshes and key in self.leases:
+            self.refresh_messages += 2 * refreshes * max(0, len(flow.path) - 1)
         router = self.routers[flow.request.source]
         router.release(flow)
         self.metrics.record_flow_end()

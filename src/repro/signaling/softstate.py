@@ -14,7 +14,10 @@ periodic collector expires whatever stopped being refreshed.
   ``ttl_s`` seconds;
 * delivered ``Tear`` messages drop individual links from the lease as
   the teardown sweeps the path (a completed teardown removes the key);
-* the owner of an admitted flow refreshes its lease periodically;
+* the owner of an admitted flow refreshes its lease periodically —
+  one :meth:`LeaseTable.refresh` per refresh, or, when its refreshes
+  cannot be lost, a single :meth:`LeaseTable.hold` that states when the
+  first refresh lands and when the last one runs out;
 * a sweep every ``sweep_interval_s`` releases every link of every
   expired lease (``release_if_held``, since a fault or competing tear
   may already have dropped some legs) and counts the reclaimed
@@ -34,6 +37,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Optional
 
 from repro import invariants as _invariants
@@ -47,13 +51,19 @@ LeaseKey = Hashable
 
 
 class _Lease:
-    """Links held under one reservation key, plus its expiry time."""
+    """Links held under one reservation key, plus its expiry time.
 
-    __slots__ = ("links", "expires_at")
+    A held lease (see :meth:`LeaseTable.hold`) also lasts until
+    ``held_until`` once the clock reaches ``held_from``.
+    """
+
+    __slots__ = ("links", "expires_at", "held_from", "held_until")
 
     def __init__(self, expires_at: float) -> None:
         self.links: list[Link] = []
         self.expires_at = expires_at
+        self.held_from = math.inf
+        self.held_until = -math.inf
 
 
 class LeaseTable:
@@ -79,11 +89,11 @@ class LeaseTable:
         ttl_s: float,
         sweep_interval_s: float,
     ) -> None:
-        if ttl_s <= 0:
-            raise ValueError(f"lease TTL must be positive, got {ttl_s}")
-        if sweep_interval_s <= 0:
+        if not 0 < ttl_s < math.inf:
+            raise ValueError(f"lease TTL must be positive and finite, got {ttl_s}")
+        if not 0 < sweep_interval_s < math.inf:
             raise ValueError(
-                f"sweep interval must be positive, got {sweep_interval_s}"
+                f"sweep interval must be positive and finite, got {sweep_interval_s}"
             )
         self._simulator = simulator
         self._network = network
@@ -121,6 +131,26 @@ class LeaseTable:
         lease.expires_at = self._simulator.now + self.ttl_s
         return True
 
+    def hold(
+        self, key: LeaseKey, first_refresh_at: float, last_refresh_at: float
+    ) -> None:
+        """Stand in for ``key``'s refreshes from ``first_refresh_at`` on.
+
+        An owner whose refreshes cannot be lost need not send them one
+        by one: the times of its first and last refresh fix the lease's
+        whole future.  Until ``first_refresh_at`` the lease keeps the
+        expiry its registrations gave it; from then on it lasts until
+        ``last_refresh_at`` plus the TTL.  While the refreshes come less
+        than a TTL apart, every sweep then reaches the verdict it would
+        reach had :meth:`refresh` run at each refresh time.  An unknown
+        key is ignored: its lease was collected before the hold.
+        """
+        lease = self._entries.get(key)
+        if lease is None:
+            return
+        lease.held_from = first_refresh_at
+        lease.held_until = last_refresh_at + self.ttl_s
+
     def drop_link(self, key: LeaseKey, link: Link) -> None:
         """Forget ``link`` from ``key``'s lease (a delivered Tear leg).
 
@@ -148,6 +178,10 @@ class LeaseTable:
         lease = self._entries.get(key)
         return lease is not None and link in lease.links
 
+    def __contains__(self, key: LeaseKey) -> bool:
+        """Whether ``key`` still holds a lease."""
+        return key in self._entries
+
     def live_leases(self) -> int:
         """Number of keys currently holding a lease."""
         return len(self._entries)
@@ -171,6 +205,7 @@ class LeaseTable:
             key
             for key, lease in self._entries.items()
             if lease.expires_at <= now
+            and (lease.held_until <= now or lease.held_from > now)
         ]
         for key in expired:
             lease = self._entries.pop(key)

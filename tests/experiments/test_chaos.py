@@ -7,6 +7,7 @@ whatever the loss rate.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -111,6 +112,16 @@ class TestConfigValidation:
     def test_refresh_must_beat_ttl(self):
         with pytest.raises(ValueError):
             ChaosConfig(lease_ttl_s=10.0, refresh_interval_s=10.0)
+
+    @pytest.mark.parametrize(
+        "field", ["lease_ttl_s", "refresh_interval_s", "gc_interval_s"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_lease_timings_must_be_finite(self, field, value):
+        # An infinite TTL never expires orphans, so the drain would
+        # never end; a NaN interval would silently refresh nothing.
+        with pytest.raises(ValueError):
+            ChaosConfig(loss_rate=0.2, **{field: value})
 
     def test_gdi_rejected(self):
         config = small_config()

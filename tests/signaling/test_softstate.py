@@ -1,5 +1,7 @@
 """Unit tests for soft-state leases (repro.signaling.softstate)."""
 
+import math
+
 import pytest
 
 from repro import invariants
@@ -51,6 +53,66 @@ class TestLeaseLifecycle:
         assert leases.covers("f", b)
         leases.drop_link("f", b)
         assert leases.live_leases() == 0
+
+
+class TestHeldLeases:
+    """A held lease stands in for an owner's reliable refreshes."""
+
+    def reserved(self, leases, network, key="f", links=((0, 1),)):
+        for u, v in links:
+            link = network.link(u, v)
+            link.reserve(key, 64_000.0)
+            leases.register(key, link)
+
+    def test_sweep_before_first_refresh_uses_register_expiry(
+        self, simulator, network
+    ):
+        leases = table(simulator, network, ttl=10.0, sweep=2.0)
+        self.reserved(leases, network)
+        leases.hold("f", first_refresh_at=12.0, last_refresh_at=30.0)
+        simulator.run(until=11.0)  # the sweep at 10 sees the TTL run out
+        assert "f" not in leases
+        assert leases.orphans_collected == 1
+        assert network.total_reserved_bps() == 0.0
+
+    def test_sweep_from_first_refresh_uses_held_expiry(self, simulator, network):
+        leases = table(simulator, network, ttl=10.0, sweep=2.0)
+        self.reserved(leases, network)
+        # The register expiry (10) and the first refresh coincide: the
+        # sweep at 10 already counts the refresh.
+        leases.hold("f", first_refresh_at=10.0, last_refresh_at=30.0)
+        simulator.run(until=39.0)
+        assert "f" in leases
+        assert leases.orphans_collected == 0
+        simulator.run(until=41.0)  # held until 30 + TTL
+        assert "f" not in leases
+        assert leases.orphans_collected == 1
+
+    def test_tearing_last_link_removes_held_lease(self, simulator, network):
+        leases = table(simulator, network)
+        self.reserved(leases, network, links=((0, 1), (1, 2)))
+        leases.hold("f", first_refresh_at=5.0, last_refresh_at=50.0)
+        leases.drop_link("f", network.link(0, 1))
+        assert "f" in leases
+        leases.drop_link("f", network.link(1, 2))
+        assert "f" not in leases
+        assert leases.live_leases() == 0
+
+    def test_hold_unknown_key_is_ignored(self, simulator, network):
+        leases = table(simulator, network)
+        leases.hold("ghost", first_refresh_at=1.0, last_refresh_at=2.0)
+        assert "ghost" not in leases
+
+    def test_refresh_still_extends_held_lease(self, simulator, network):
+        leases = table(simulator, network, ttl=10.0, sweep=2.0)
+        self.reserved(leases, network)
+        leases.hold("f", first_refresh_at=20.0, last_refresh_at=20.0)
+        simulator.run(until=9.0)
+        assert leases.refresh("f")  # now lasts until 19, past the hold
+        simulator.run(until=29.0)
+        assert "f" in leases
+        simulator.run(until=31.0)  # held until 20 + TTL
+        assert leases.orphans_collected == 1
 
 
 class TestOrphanCollection:
@@ -134,3 +196,13 @@ class TestValidation:
     def test_bad_sweep(self, simulator, network):
         with pytest.raises(ValueError):
             LeaseTable(simulator, network, ttl_s=1.0, sweep_interval_s=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_ttl(self, simulator, network, value):
+        with pytest.raises(ValueError):
+            LeaseTable(simulator, network, ttl_s=value, sweep_interval_s=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_sweep(self, simulator, network, value):
+        with pytest.raises(ValueError):
+            LeaseTable(simulator, network, ttl_s=1.0, sweep_interval_s=value)
