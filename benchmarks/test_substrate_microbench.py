@@ -93,35 +93,15 @@ def test_simulation_end_to_end_speed(benchmark):
     assert result.requests > 0
 
 
-def test_engine_event_throughput_calendar_queue(benchmark):
-    """Same chained-event workload on the calendar-queue engine."""
-
-    def run_chain():
-        sim = Simulator(queue="calendar")
-        state = {"n": 0}
-
-        def tick():
-            state["n"] += 1
-            if state["n"] < 10_000:
-                sim.schedule(1.0, tick)
-
-        sim.schedule(1.0, tick)
-        sim.run()
-        return state["n"]
-
-    assert benchmark(run_chain) == 10_000
-
-
-def _run_hold_pattern(queue_kind, events=20_000, pending=2_000):
+def _run_hold_pattern(events=20_000, pending=2_000):
     """Dispatch ``events`` while keeping ``pending`` timers in flight.
 
-    This is the loss-network steady state — a large stable population
-    of departure timers — and the workload where pending-event set
-    data structures actually differ.
+    This is the loss-network steady state: a large stable population
+    of departure timers, so every push and pop sifts a deep heap.
     """
     import random
 
-    sim = Simulator(queue=queue_kind)
+    sim = Simulator()
     rng = random.Random(20010405)
     state = {"n": 0}
 
@@ -138,12 +118,7 @@ def _run_hold_pattern(queue_kind, events=20_000, pending=2_000):
 
 def test_engine_hold_pattern_heap(benchmark):
     """Heap engine under a constant 2k-pending-event population."""
-    assert benchmark(_run_hold_pattern, "heap") == 20_000
-
-
-def test_engine_hold_pattern_calendar(benchmark):
-    """Calendar engine under the same hold pattern (amortized O(1))."""
-    assert benchmark(_run_hold_pattern, "calendar") == 20_000
+    assert benchmark(_run_hold_pattern) == 20_000
 
 
 def test_fixed_point_grid_speed(benchmark):

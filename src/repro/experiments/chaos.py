@@ -180,11 +180,13 @@ class ChaosSimulation:
         measure_s: float = 800.0,
         seed: int = 0,
         batch_size: int = 200,
-        queue: str = "heap",
     ) -> None:
-        if warmup_s < 0 or measure_s <= 0:
+        # Written so that NaN fails: an unbounded or NaN window would
+        # never let the event loop reach its horizon.
+        if not (0.0 <= warmup_s < math.inf and 0.0 < measure_s < math.inf):
             raise ValueError(
-                f"need warmup >= 0 and measure > 0, got {warmup_s}, {measure_s}"
+                "need finite warmup >= 0 and measure > 0, "
+                f"got {warmup_s}, {measure_s}"
             )
         if not system_spec.is_distributed:
             raise ValueError("chaos scenario needs a distributed system (not GDI)")
@@ -197,7 +199,7 @@ class ChaosSimulation:
         self.horizon_s = warmup_s + measure_s
         self.seed = seed
         self.streams = StreamFactory(seed)
-        self.simulator = Simulator(queue=queue)
+        self.simulator = Simulator()
         self.channel = SignalingChannel(
             self.simulator,
             loss_rate=chaos.loss_rate,
@@ -387,7 +389,6 @@ def run_chaos_point(
     arrival_rate: float,
     config: ExperimentConfig,
     chaos: ChaosConfig,
-    queue: str = "heap",
 ) -> ChaosResult:
     """One system at one arrival rate under one impairment setting."""
     simulation = ChaosSimulation(
@@ -398,7 +399,6 @@ def run_chaos_point(
         warmup_s=config.warmup_s,
         measure_s=config.measure_s,
         seed=config.seed,
-        queue=queue,
     )
     return simulation.run()
 

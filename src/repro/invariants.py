@@ -10,8 +10,7 @@ module centralizes those checks behind a single module-level switch:
   column in the shared :class:`~repro.network.link.LinkStateArrays`;
 * reserve/release pairing — a flow holds the same bandwidth on every
   link it traverses, never a stale or negative entry;
-* monotonically non-decreasing event time in both pending-event set
-  implementations.
+* monotonically non-decreasing event time in the event loop.
 
 Enable it with the environment variable ``REPRO_CHECK_INVARIANTS=1``
 (read once at import, so it reaches worker processes spawned by the

@@ -1,14 +1,13 @@
 """Discrete-event simulation substrate.
 
 The paper evaluated its Distributed Admission Control procedure with
-Mesquite CSIM, a closed-source, process-oriented simulation toolkit
-written in C.  This subpackage is a from-scratch, pure-Python
-equivalent providing the same modelling vocabulary:
+Mesquite CSIM, a closed-source simulation toolkit written in C.  This
+subpackage is a from-scratch, pure-Python replacement.  Its
+equivalent of CSIM is the event-scheduled engine: models schedule
+callbacks on one clock rather than writing processes.
 
-* :mod:`repro.sim.engine` -- the event calendar and simulation clock.
-* :mod:`repro.sim.process` -- generator-based processes (``hold``,
-  ``wait``) in the style of CSIM processes.
-* :mod:`repro.sim.resources` -- counting resources and facilities.
+* :mod:`repro.sim.engine` -- the simulation clock, its heap of pending
+  events and the single event loop.
 * :mod:`repro.sim.random_streams` -- reproducible named random streams.
 * :mod:`repro.sim.stats` -- output statistics (Welford accumulators,
   time-weighted averages, batch means, confidence intervals).
@@ -20,9 +19,7 @@ equivalent providing the same modelling vocabulary:
 from typing import Any
 
 from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.process import Process, Signal, hold, wait
 from repro.sim.random_streams import RandomStream, StreamFactory
-from repro.sim.resources import Facility, Storage
 from repro.sim.stats import (
     BatchMeans,
     RunningStats,
@@ -45,19 +42,13 @@ def __getattr__(name: str) -> Any:
 __all__ = [
     "BatchMeans",
     "Event",
-    "Facility",
     "FlowRecord",
-    "Process",
     "RandomStream",
     "RunningStats",
-    "Signal",
     "SimulationError",
     "Simulator",
-    "Storage",
     "StreamFactory",
     "TimeWeightedStats",
     "TraceRecorder",
     "confidence_interval",
-    "hold",
-    "wait",
 ]

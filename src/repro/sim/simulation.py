@@ -36,6 +36,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
@@ -116,11 +117,6 @@ class AnycastSimulation:
     trace:
         Optional :class:`repro.sim.trace.TraceRecorder` capturing a
         per-request record of every decision in the measurement window.
-    queue:
-        Pending-event set implementation passed through to
-        :class:`repro.sim.engine.Simulator`: ``"heap"`` (default) or
-        ``"calendar"``.  Results are bit-identical either way; only
-        the performance profile differs.
     """
 
     def __init__(
@@ -134,11 +130,13 @@ class AnycastSimulation:
         batch_size: int = 200,
         fault_config: Optional[FaultConfig] = None,
         trace: Optional["TraceRecorder"] = None,
-        queue: str = "heap",
     ) -> None:
-        if warmup_s < 0 or measure_s <= 0:
+        # Written so that NaN fails: an unbounded or NaN window would
+        # never let the event loop reach its horizon.
+        if not (0.0 <= warmup_s < math.inf and 0.0 < measure_s < math.inf):
             raise ValueError(
-                f"need warmup >= 0 and measure > 0, got {warmup_s}, {measure_s}"
+                "need finite warmup >= 0 and measure > 0, "
+                f"got {warmup_s}, {measure_s}"
             )
         if fault_config is not None and system_spec.algorithm == "GDI":
             raise ValueError(
@@ -152,7 +150,7 @@ class AnycastSimulation:
         self.horizon_s = warmup_s + measure_s
         self.seed = seed
         self.streams = StreamFactory(seed)
-        self.simulator = Simulator(queue=queue)
+        self.simulator = Simulator()
         self.system: AdmissionSystem = build_system(
             system_spec,
             self.network,
@@ -309,7 +307,6 @@ def run_simulation(
     warmup_s: float = 1000.0,
     measure_s: float = 4000.0,
     seed: int = 0,
-    queue: str = "heap",
 ) -> SimulationResult:
     """Convenience wrapper: build and run one :class:`AnycastSimulation`."""
     simulation = AnycastSimulation(
@@ -319,6 +316,5 @@ def run_simulation(
         warmup_s=warmup_s,
         measure_s=measure_s,
         seed=seed,
-        queue=queue,
     )
     return simulation.run()

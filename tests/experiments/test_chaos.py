@@ -91,18 +91,6 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_queue_implementations_agree(self):
-        def run(queue):
-            return run_chaos_point(
-                SystemSpec("WD/D+B", retrials=2),
-                20.0,
-                small_config(),
-                ChaosConfig(loss_rate=0.1),
-                queue=queue,
-            )
-
-        assert run("heap") == run("calendar")
-
 
 class TestConfigValidation:
     def test_loss_rate_bounds(self):
@@ -122,6 +110,21 @@ class TestConfigValidation:
         # never end; a NaN interval would silently refresh nothing.
         with pytest.raises(ValueError):
             ChaosConfig(loss_rate=0.2, **{field: value})
+
+    @pytest.mark.parametrize("field", ["warmup_s", "measure_s"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_window_must_be_finite(self, field, value):
+        # A NaN window passes sign checks, and its horizon never stops
+        # the event loop: the run would not return.
+        config = small_config()
+        with pytest.raises(ValueError):
+            ChaosSimulation(
+                network_factory=config.network_factory(),
+                system_spec=SystemSpec("ED", retrials=2),
+                workload=config.workload(5.0),
+                chaos=ChaosConfig(),
+                **{field: value},
+            )
 
     def test_gdi_rejected(self):
         config = small_config()

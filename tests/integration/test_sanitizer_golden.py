@@ -31,7 +31,9 @@ def sanitizer_everywhere(monkeypatch):
     invariants.set_enabled(previous)
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
+# The engine has one pending-event set, the heap; the parameter only
+# keeps the test ids (``[ED-heap]``...) stable.
+@pytest.mark.parametrize("queue", ["heap"])
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
 def test_golden_results_survive_sanitizer(algorithm, queue, sanitizer_everywhere):
     result = repro.quick_run(
@@ -41,7 +43,6 @@ def test_golden_results_survive_sanitizer(algorithm, queue, sanitizer_everywhere
         warmup_s=50.0,
         measure_s=200.0,
         seed=20010405,
-        queue=queue,
     )
     requests, admitted, mean_attempts = GOLDEN[algorithm]
     assert result.requests == requests

@@ -1,5 +1,6 @@
 """Property-based tests for the event engine and statistics."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +109,196 @@ class TestRunningStatsProperties:
         assert abs(merged.variance - combined.variance) <= 1e-6 * max(
             1.0, combined.variance
         )
+
+
+# ----------------------------------------------------------------------
+# Dispatch-order oracle
+# ----------------------------------------------------------------------
+# Offsets mix exact ties (0.0 and a coarse grid) with continuous values
+# so same-timestamp runs, and stops partway through them, are common.
+_offsets = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+)
+
+# What an event does when it fires: nothing, stop the loop, schedule a
+# child (which at most stops the loop, so every cascade is finite), or
+# cancel another event, counted back from the latest one scheduled.
+_actions = st.one_of(
+    st.none(),
+    st.just(("stop",)),
+    st.tuples(st.just("child"), _offsets, st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=7)),
+)
+
+_schedule = st.tuples(st.just("schedule"), _offsets, _actions)
+_cancel = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=7))
+
+# one_of picks its branches evenly: scheduling and cancelling are
+# listed more than once so that many events are pending when a run
+# starts, and some of them cancelled.
+_operations = st.lists(
+    st.one_of(
+        _schedule,
+        _schedule,
+        _schedule,
+        st.tuples(st.just("schedule_at"), _offsets, _actions),
+        _cancel,
+        _cancel,
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run_until"), _offsets),
+        st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("run")),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+class _Reference:
+    """Test-local model of the engine: a dict of live events.
+
+    The next event is always the live one with the smallest
+    ``(time, insertion index)``; nothing else is modelled.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.live: dict[int, float] = {}
+        self.stopped = False
+
+    def peek(self):
+        return min(self.live.values(), default=None)
+
+    def pop(self):
+        index = min(self.live, key=lambda i: (self.live[i], i))
+        self.now = self.live.pop(index)
+        return index
+
+
+class _Lockstep:
+    """Applies each operation to a Simulator and to the reference."""
+
+    def __init__(self, check):
+        self.sim = Simulator(check_invariants=check)
+        self.ref = _Reference()
+        self.handles = []
+        self.actions = {True: [], False: []}  # per side, by index
+        self.fired = {True: [], False: []}
+        self.ref_scheduled = 0
+
+    # -- both sides --------------------------------------------------
+    def _fire(self, real, index):
+        self.fired[real].append(index)
+        action = self.actions[real][index]
+        if action is None:
+            return
+        if action[0] == "stop":
+            if real:
+                self.sim.stop()
+            else:
+                self.ref.stopped = True
+        elif action[0] == "child":
+            child = ("stop",) if action[2] else None
+            self._schedule(real, "schedule", action[1], child)
+        else:
+            self._cancel(real, action[1])
+
+    def _schedule(self, real, how, offset, action):
+        self.actions[real].append(action)
+        if not real:
+            self.ref.live[self.ref_scheduled] = self.ref.now + offset
+            self.ref_scheduled += 1
+            return
+        index = len(self.handles)
+
+        def callback():
+            self._fire(True, index)
+
+        if how == "schedule":
+            handle = self.sim.schedule(offset, callback)
+        else:
+            handle = self.sim.schedule_at(self.sim.now + offset, callback)
+        self.handles.append(handle)
+
+    def _cancel(self, real, pick):
+        # Count back from the latest event scheduled: recent events are
+        # the ones most likely still pending.
+        if real:
+            if self.handles:
+                self.handles[-1 - pick % len(self.handles)].cancel()
+        elif self.ref_scheduled:
+            self.ref.live.pop(self.ref_scheduled - 1 - pick % self.ref_scheduled, None)
+
+    # -- the reference's event loop ----------------------------------
+    def _ref_step(self):
+        if not self.ref.live:
+            return False
+        self._fire(False, self.ref.pop())
+        return True
+
+    def _ref_run(self, until=None, max_events=None):
+        ref = self.ref
+        ref.stopped = False
+        executed = 0
+        while ref.live and not ref.stopped:
+            if max_events is not None and executed >= max_events:
+                break
+            if until is not None and ref.peek() > until:
+                break
+            self._fire(False, ref.pop())
+            executed += 1
+        if until is not None and ref.now < until and not ref.stopped:
+            upcoming = ref.peek()
+            if upcoming is None or upcoming > until:
+                ref.now = until
+
+    # -- one operation ------------------------------------------------
+    def apply(self, op):
+        kind, sim, ref = op[0], self.sim, self.ref
+        if kind in ("schedule", "schedule_at"):
+            self._schedule(True, kind, op[1], op[2])
+            self._schedule(False, kind, op[1], op[2])
+        elif kind == "cancel":
+            self._cancel(True, op[1])
+            self._cancel(False, op[1])
+        elif kind == "step":
+            assert sim.step() == self._ref_step()
+        elif kind == "run_until":
+            until = ref.now + op[1]
+            sim.run(until=until)
+            self._ref_run(until=until)
+        elif kind == "run_max":
+            sim.run(max_events=op[1])
+            self._ref_run(max_events=op[1])
+        elif kind == "run":
+            sim.run()
+            self._ref_run()
+        else:
+            sim.clear()
+            ref.live.clear()
+        assert self.fired[True] == self.fired[False]
+        assert sim.now == ref.now
+        assert sim.peek() == ref.peek()
+        assert sim.pending_count == len(ref.live)
+        assert sim.events_executed == len(self.fired[True])
+
+
+class TestDispatchOrderOracle:
+    """The engine fires live events in (time, insertion) order.
+
+    Whatever the interleaving of scheduling, cancelling, stepping,
+    bounded and capped runs, stops from inside callbacks (also partway
+    through a same-timestamp run) and clears, the fired sequence and
+    the observable clock and queue state match the reference, with the
+    sanitizer on and off.
+    """
+
+    @pytest.mark.parametrize("check", [False, True])
+    @settings(max_examples=200, deadline=None)
+    @given(operations=_operations)
+    def test_matches_reference(self, check, operations):
+        lockstep = _Lockstep(check)
+        for op in operations:
+            lockstep.apply(op)

@@ -1,4 +1,6 @@
-"""Unit tests for the event calendar (repro.sim.engine)."""
+"""Unit tests for the event engine (repro.sim.engine)."""
+
+import math
 
 import pytest
 
@@ -62,6 +64,30 @@ class TestScheduling:
             sim.schedule_at(float("nan"), lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_at(float("inf"), lambda: None)
+
+    @pytest.mark.parametrize("until", [math.nan, math.inf, -math.inf])
+    def test_nan_and_inf_horizons_rejected(self, until):
+        # A NaN horizon would let an event past it fire; an infinite
+        # one would park the clock at inf, after which nothing could be
+        # scheduled.
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.pending_count == 1
+
+    def test_rejected_horizon_leaves_empty_simulator_usable(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.run(until=math.inf)
+        assert sim.now == 0.0
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run(until=None)
+        assert fired == [1.0]
 
     def test_nan_and_inf_delays_rejected(self):
         # NaN fails every comparison, so it must not slip through the
@@ -155,6 +181,17 @@ class TestRunControl:
             sim.schedule(float(i + 1), lambda i=i: fired.append(i))
         sim.run(max_events=4)
         assert fired == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_zero_event_budget_fires_nothing(self, check):
+        # The budget is checked before each event, with the sanitizer
+        # on as well as off.
+        sim = Simulator(check_invariants=check)
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.run(max_events=0)
+        assert fired == []
+        assert sim.pending_count == 1
 
     def test_step_executes_single_event(self):
         sim = Simulator()

@@ -150,10 +150,11 @@ class TestTimeMonotonicity:
 class TestSanitizedRunsMatch:
     """check_invariants=True must not perturb simulation results."""
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    # One pending-event set; the parameter keeps the test id stable.
+    @pytest.mark.parametrize("queue", ["heap"])
     def test_event_order_identical(self, queue, sanitizer):
         def run(flag: bool) -> list[float]:
-            sim = Simulator(queue=queue, check_invariants=flag)
+            sim = Simulator(check_invariants=flag)
             fired: list[float] = []
             for t in (3.0, 1.0, 2.0, 2.0, 5.0):
                 sim.schedule(t, lambda t=t: fired.append(sim.now))

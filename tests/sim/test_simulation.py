@@ -1,5 +1,7 @@
 """Unit tests for the simulation model (repro.sim.simulation)."""
 
+import math
+
 import pytest
 
 from repro.core.system import SystemSpec
@@ -79,6 +81,14 @@ class TestMechanics:
             quick_sim(warmup_s=-1.0)
         with pytest.raises(ValueError):
             quick_sim(measure_s=0.0)
+
+    @pytest.mark.parametrize("field", ["warmup_s", "measure_s"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_window_must_be_finite(self, field, value):
+        # A NaN window passes sign checks, and its horizon never stops
+        # the event loop: the run would not return.
+        with pytest.raises(ValueError):
+            quick_sim(**{field: value})
 
     def test_run_simulation_wrapper(self):
         result = run_simulation(

@@ -7,12 +7,10 @@ import pytest
 import repro.analysis.erlang
 import repro.flows.qos
 import repro.sim.engine
-import repro.sim.process
 import repro.sim.stats
 
 MODULES = [
     repro.sim.engine,
-    repro.sim.process,
     repro.sim.stats,
     repro.analysis.erlang,
     repro.flows.qos,
