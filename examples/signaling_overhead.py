@@ -11,10 +11,15 @@ message counts and reservation latencies per admission attempt.
 Run:  python examples/signaling_overhead.py
 """
 
+from repro.core.retrial import CounterRetrialPolicy
+from repro.core.selection import EvenDistribution, SelectionContext
 from repro.experiments.report import format_table
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
+from repro.flows.qos import QoSRequirement
 from repro.network.routing import RouteTable
 from repro.network.topologies import MCI_GROUP_MEMBERS, mci_backbone
+from repro.signaling.admission import SignalledACRouter
 from repro.signaling.rsvp import SignalledReservationEngine
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import StreamFactory
@@ -26,47 +31,46 @@ def main() -> None:
     network = mci_backbone(capacity_bps=8 * 64_000.0)
     simulator = Simulator()
     engine = SignalledReservationEngine(simulator, network)
-    table = RouteTable(network, source, group.members)
-    rng = StreamFactory(5).stream("selection")
+    routes = RouteTable(network, source, group.members)
+    context = SelectionContext(network=network, routes=routes, group=group)
+    # <ED,2>: the DAC loop of Figure 1 on top of asynchronous signalling.
+    router = SignalledACRouter(
+        network,
+        source,
+        group,
+        EvenDistribution(context),
+        CounterRetrialPolicy(2),
+        StreamFactory(5).stream("selection"),
+        engine,
+    )
 
     print("RSVP-lite signalling from router 9 on the MCI backbone")
     print("(8 anycast slots per link, 5 ms propagation per hop)")
     print("=" * 62)
 
-    outcomes = []
+    decisions = []
 
-    def admit_with_retrials(flow_id: int, max_attempts: int):
-        """Drive the DAC loop on top of asynchronous signalling."""
-        tried = []
-
-        def attempt():
-            candidates = [m for m in group.members if m not in tried]
-            destination = rng.choice(candidates)
-            tried.append(destination)
-            route = table.route_to(destination)
-
-            def on_done(outcome):
-                if outcome.success or len(tried) >= max_attempts:
-                    outcomes.append((flow_id, outcome.success, len(tried)))
-                else:
-                    attempt()
-
-            engine.reserve(route, (flow_id, destination), 64_000.0, on_done)
-
-        attempt()
+    def offer(flow_id: int) -> None:
+        request = FlowRequest(
+            flow_id=flow_id,
+            source=source,
+            group=group,
+            qos=QoSRequirement(bandwidth_bps=64_000.0),
+            arrival_time=simulator.now,
+        )
+        router.admit(request, decisions.append)
 
     # Offer a burst of 120 flows; capacity fits only a fraction.
     for flow_id in range(120):
-        simulator.schedule(flow_id * 0.01, lambda f=flow_id: admit_with_retrials(f, 2))
+        simulator.schedule(flow_id * 0.01, lambda f=flow_id: offer(f))
     simulator.run()
 
-    admitted = sum(1 for _, success, _ in outcomes if success)
-    attempts = sum(tries for _, _, tries in outcomes)
     rows = [
-        ["flows offered", str(len(outcomes))],
-        ["flows admitted", str(admitted)],
-        ["destination attempts", str(attempts)],
+        ["flows offered", str(len(decisions))],
+        ["flows admitted", str(router.requests_admitted)],
+        ["destination attempts", str(router.total_attempts)],
         ["signalling messages", str(engine.total_messages)],
+        ["  of which TEAR (lost races)", str(engine.tear_messages)],
         ["messages per attempt", f"{engine.mean_messages:.2f}"],
         ["mean reservation latency", f"{engine.mean_latency_s * 1000:.2f} ms"],
     ]

@@ -11,6 +11,10 @@ Admission-Control router.  For every request it loops:
 The router owns its selector (and therefore its local admission
 history) — state is strictly local, which is the point of the
 *distributed* admission control mechanism.
+
+The loop body is written once, here; the signalled router in
+:mod:`repro.signaling.admission` drives the same body from
+reservation callbacks instead of a ``while`` loop.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.core.retrial import RetrialPolicy
 from repro.core.selection import DestinationSelector
 from repro.flows.flow import AdmittedFlow, FlowRequest
 from repro.flows.group import AnycastGroup
-from repro.network.routing import Route, RouteTable
+from repro.network.routing import Route
 from repro.network.topology import Network
 from repro.sim.random_streams import RandomStream
 
@@ -86,8 +90,26 @@ class AdmissionResult:
         return self.attempts - 1
 
 
+class _Decision:
+    """One request's progress through the Figure 1 loop."""
+
+    __slots__ = ("request", "tried", "excluded")
+
+    def __init__(self, request: FlowRequest) -> None:
+        self.request = request
+        #: destinations drawn so far; its length is the counter ``c``
+        self.tried: list[NodeId] = []
+        #: refused destinations the next draw must skip
+        self.excluded: set[NodeId] = set()
+
+
 class ACRouter:
     """An admission-control router running the Figure 1 loop.
+
+    The loop body is three steps shared with the signalled router:
+    :meth:`_open` validates and counts a request, :meth:`_select` draws
+    the next destination, and :meth:`_conclude` feeds back one
+    reservation outcome and either decides or asks for another try.
 
     Parameters
     ----------
@@ -100,7 +122,8 @@ class ACRouter:
         The anycast group served.
     selector:
         Destination-selection algorithm (owns any local state such as
-        the admission history).
+        the admission history).  Its context's route table, which must
+        start at ``source``, is the router's.
     retrial_policy:
         When to keep trying after failures.
     rng:
@@ -126,6 +149,12 @@ class ACRouter:
         reservation: Optional[ReservationEngine] = None,
         resample_failed: bool = False,
     ) -> None:
+        routes = selector.context.routes
+        if routes.source != source:
+            raise ValueError(
+                f"selector routes start at {routes.source!r}, "
+                f"not at router source {source!r}"
+            )
         self.network = network
         self.source = source
         self.group = group
@@ -136,7 +165,7 @@ class ACRouter:
             reservation or AtomicReservationEngine(network)
         )
         self.resample_failed = resample_failed
-        self.routes = RouteTable(network, source, group.members)
+        self.routes = routes
         # Lifetime counters for reporting.
         self.requests_seen = 0
         self.requests_admitted = 0
@@ -149,6 +178,22 @@ class ACRouter:
         bandwidth is held on every link of its route until
         :meth:`release` is called.
         """
+        decision = self._open(request)
+        decided_at = request.arrival_time if now is None else now
+        while True:
+            route = self._select(decision)
+            success = self.reservation.try_reserve(
+                route, request.flow_id, request.bandwidth_bps
+            )
+            result = self._conclude(decision, route, success, decided_at)
+            if result is not None:
+                return result
+
+    # ------------------------------------------------------------------
+    # the Figure 1 loop body
+    # ------------------------------------------------------------------
+    def _open(self, request: FlowRequest) -> _Decision:
+        """Validate and count ``request``; return its empty loop state."""
         if request.source != self.source:
             raise ValueError(
                 f"request source {request.source!r} does not match "
@@ -159,55 +204,54 @@ class ACRouter:
                 f"request group {request.group.address!r} does not match "
                 f"router group {self.group.address!r}"
             )
-        decided_at = request.arrival_time if now is None else now
         self.requests_seen += 1
-        selector = self.selector
-        bandwidth_bps = request.bandwidth_bps
-        tried: list[NodeId] = []
-        excluded: set[NodeId] = set()
-        attempts = 0
-        while True:
-            destination = selector.select(self.rng, exclude=excluded)
-            attempts += 1
-            tried.append(destination)
-            route = self.routes.route_to(destination)
-            success = self.reservation.try_reserve(
-                route, request.flow_id, bandwidth_bps
+        return _Decision(request)
+
+    def _select(self, decision: _Decision) -> Route:
+        """Draw the next destination and return the route to reserve."""
+        destination = self.selector.select(self.rng, exclude=decision.excluded)
+        decision.tried.append(destination)
+        return self.routes.route_to(destination)
+
+    def _conclude(
+        self, decision: _Decision, route: Route, success: bool, decided_at: float
+    ) -> Optional[AdmissionResult]:
+        """Feed back the last attempt; the result, or ``None`` to retry."""
+        request = decision.request
+        tried = decision.tried
+        destination = tried[-1]
+        self.selector.observe(destination, success)
+        attempts = len(tried)
+        flow: Optional[AdmittedFlow] = None
+        if success:
+            self.requests_admitted += 1
+            flow = AdmittedFlow(
+                request=request,
+                destination=destination,
+                path=route.path,
+                admitted_at=decided_at,
+                attempts=attempts,
             )
-            selector.observe(destination, success)
-            if success:
-                self.requests_admitted += 1
-                self.total_attempts += attempts
-                flow = AdmittedFlow(
-                    request=request,
-                    destination=destination,
-                    path=route.path,
-                    admitted_at=decided_at,
-                    attempts=attempts,
-                )
-                return AdmissionResult(
-                    request=request,
-                    flow=flow,
-                    attempts=attempts,
-                    tried=tuple(tried),
-                    decided_at=decided_at,
-                )
-            if not self.resample_failed:
-                excluded.add(destination)
-            keep_going = self.retrial_policy.should_retry(
+        else:
+            if self.resample_failed:
+                distinct_tried = len(set(tried))
+            else:
+                decision.excluded.add(destination)
+                distinct_tried = len(decision.excluded)
+            if self.retrial_policy.should_retry(
                 attempts_made=attempts,
-                distinct_tried=len(excluded) if not self.resample_failed else len(set(tried)),
+                distinct_tried=distinct_tried,
                 group_size=self.group.size,
-            )
-            if not keep_going:
-                self.total_attempts += attempts
-                return AdmissionResult(
-                    request=request,
-                    flow=None,
-                    attempts=attempts,
-                    tried=tuple(tried),
-                    decided_at=decided_at,
-                )
+            ):
+                return None
+        self.total_attempts += attempts
+        return AdmissionResult(
+            request=request,
+            flow=flow,
+            attempts=attempts,
+            tried=tuple(tried),
+            decided_at=decided_at,
+        )
 
     def release(self, flow: AdmittedFlow) -> None:
         """Tear down an admitted flow's reservations (idempotent)."""

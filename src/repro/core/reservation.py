@@ -47,7 +47,7 @@ class AtomicReservationEngine:
         failure.
         """
         self.attempts += 1
-        if bandwidth_bps < 0:
+        if not bandwidth_bps >= 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
         # The route caches its resolved link objects, so repeated
         # attempts skip the per-hop (u, v) dict lookups entirely.

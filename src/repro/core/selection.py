@@ -137,9 +137,11 @@ class DestinationSelector(Protocol):
     ``weights()`` returns the current probability vector in group
     member order; ``select()`` draws a destination; ``observe()``
     feeds back the outcome of the subsequent reservation attempt.
+    ``context`` holds the routes the AC-router reserves along.
     """
 
     name: str
+    context: SelectionContext
 
     def weights(self) -> list[float]:
         """Current weight vector ``W_1..W_K`` (sums to one)."""

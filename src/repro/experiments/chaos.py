@@ -167,7 +167,8 @@ class ChaosSimulation:
     the full PATH/RESV exchange through the impaired channel, admitted
     flows refresh their leases, and departures tear down through the
     same lossy channel.  Only distributed systems are supported (GDI
-    has no signalling plane to impair).
+    has no signalling plane to impair), and only with always-fresh
+    bandwidth views (``bandwidth_refresh_s`` must be 0).
     """
 
     def __init__(
@@ -190,6 +191,11 @@ class ChaosSimulation:
             )
         if not system_spec.is_distributed:
             raise ValueError("chaos scenario needs a distributed system (not GDI)")
+        if system_spec.bandwidth_refresh_s > 0:
+            raise ValueError(
+                "chaos scenario has no stale-snapshot bandwidth view; "
+                f"got bandwidth_refresh_s={system_spec.bandwidth_refresh_s}"
+            )
         self.network = network_factory()
         self.system_spec = system_spec
         self.workload = workload
@@ -241,7 +247,6 @@ class ChaosSimulation:
                 network=self.network, routes=routes, group=workload.group
             )
             self.routers[source] = SignalledACRouter(
-                self.simulator,
                 self.network,
                 source,
                 workload.group,
@@ -249,6 +254,7 @@ class ChaosSimulation:
                 CounterRetrialPolicy(system_spec.effective_retrials),
                 rng=self.streams.stream(f"select.{source}"),
                 engine=self.engine,
+                resample_failed=system_spec.resample_failed,
             )
         self.traffic = TrafficModel(workload, self.streams)
         self.metrics = MetricsCollector(

@@ -17,6 +17,7 @@ meets a target delay bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,9 +50,11 @@ class QoSRequirement:
     _delay_rate_bps: Optional[float] = None
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
+        # Written so that NaN fails too.
+        if not 0 < self.bandwidth_bps < math.inf:
             raise ValueError(
-                f"bandwidth requirement must be positive, got {self.bandwidth_bps}"
+                "bandwidth requirement must be positive and finite, "
+                f"got {self.bandwidth_bps}"
             )
         if self.delay_bound_s is not None and self.delay_bound_s <= 0:
             raise ValueError(

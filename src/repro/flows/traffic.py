@@ -16,6 +16,7 @@ yield identical workloads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
@@ -73,19 +74,20 @@ class WorkloadSpec:
     bandwidth_classes: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.arrival_rate <= 0:
+        # Written so that NaN fails too.
+        if not 0 < self.arrival_rate < math.inf:
             raise ValueError(
-                f"arrival rate must be positive, got {self.arrival_rate}"
+                f"arrival rate must be positive and finite, got {self.arrival_rate}"
             )
         if not self.sources:
             raise ValueError("workload needs at least one source")
-        if self.mean_lifetime_s <= 0:
+        if not self.mean_lifetime_s > 0:
             raise ValueError(
                 f"mean lifetime must be positive, got {self.mean_lifetime_s}"
             )
-        if self.bandwidth_bps <= 0:
+        if not 0 < self.bandwidth_bps < math.inf:
             raise ValueError(
-                f"bandwidth must be positive, got {self.bandwidth_bps}"
+                f"bandwidth must be positive and finite, got {self.bandwidth_bps}"
             )
         object.__setattr__(self, "sources", tuple(self.sources))
         if self.source_weights is not None:
@@ -106,8 +108,8 @@ class WorkloadSpec:
             )
             if not classes:
                 raise ValueError("bandwidth class mix must not be empty")
-            if any(bw <= 0 for bw, _ in classes):
-                raise ValueError("class bandwidths must be positive")
+            if not all(0 < bw < math.inf for bw, _ in classes):
+                raise ValueError("class bandwidths must be positive and finite")
             if any(p < 0 for _, p in classes) or abs(
                 sum(p for _, p in classes) - 1.0
             ) > 1e-9:

@@ -218,7 +218,7 @@ class Link:
             If the flow already holds a reservation here (a flow
             traverses a link at most once) or the amount is invalid.
         """
-        if bandwidth_bps < 0:
+        if not bandwidth_bps >= 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
         if flow_id in self._reservations:
             raise ValueError(

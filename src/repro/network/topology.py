@@ -199,7 +199,7 @@ class Network:
         grant/rejection counters, links reserved before the failing
         hop are rolled back.
         """
-        if bandwidth_bps < 0:
+        if not bandwidth_bps >= 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
         amount = float(bandwidth_bps)
         state = self.link_state

@@ -2,19 +2,24 @@
 
 :class:`repro.core.admission.ACRouter` decides instantly because its
 reservation engine is atomic — the abstraction the paper's simulation
-uses.  This module runs the *same* Figure 1 loop on top of
+uses.  :class:`SignalledACRouter` is an ``ACRouter`` that runs the
+*same* Figure 1 loop body on top of
 :class:`repro.signaling.rsvp.SignalledReservationEngine`, where every
-attempt costs a PATH/RESV round trip of simulated time.  That yields
-the quantities the paper's overhead discussion appeals to but never
-measures directly:
+attempt costs a PATH/RESV round trip of simulated time: each attempt's
+outcome arrives through an engine callback, which feeds it to the
+shared body and either launches the next attempt or delivers the
+decision.  That yields the quantities the paper's overhead discussion
+appeals to but never measures directly:
 
 * **admission latency** — arrival to final decision, growing with each
   retrial by a full signalling round trip;
 * **message count** — PATH/RESV/PATH_ERR transmissions per request.
 
-The selection/retrial semantics match the synchronous AC-router
-exactly; with no concurrent signalling races the decisions are
-identical (a property the test suite asserts).
+Every attempt reserves under its own key ``(flow_id, attempt)``, so
+the orphans of a timed-out attempt can never collide with (or be torn
+down by) a later attempt of the same flow.  With no concurrent
+signalling races the decisions equal the atomic router's (a property
+the test suite asserts).
 """
 
 from __future__ import annotations
@@ -22,15 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-from repro.core.admission import AdmissionResult
+from repro.core.admission import ACRouter, AdmissionResult
 from repro.core.retrial import RetrialPolicy
 from repro.core.selection import DestinationSelector
 from repro.flows.flow import AdmittedFlow, FlowRequest
 from repro.flows.group import AnycastGroup
-from repro.network.routing import RouteTable
+from repro.network.routing import Route
 from repro.network.topology import Network
 from repro.signaling.rsvp import ReservationOutcome, SignalledReservationEngine
-from repro.sim.engine import Simulator
 from repro.sim.random_streams import RandomStream
 
 NodeId = Hashable
@@ -48,13 +52,14 @@ class SignalledAdmissionResult:
         Simulated time from request submission to the decision.
     messages:
         Total signalling messages across all attempts.
+    reservation_key:
+        The per-attempt key the admitted flow's links are held under
+        (``None`` if rejected).
     """
 
     result: AdmissionResult
     latency_s: float
     messages: int
-    #: Reservation key the links were reserved under (robust mode uses
-    #: per-attempt keys; ``None`` means the plain flow id was used).
     reservation_key: Optional[Hashable] = None
 
     @property
@@ -63,141 +68,92 @@ class SignalledAdmissionResult:
         return self.result.admitted
 
 
-class SignalledACRouter:
+class SignalledACRouter(ACRouter):
     """An AC-router whose reservations take signalling time.
 
     Decisions are delivered through a callback because they complete
     only after the (simulated) PATH/RESV exchanges.
 
     Parameters mirror :class:`repro.core.admission.ACRouter`; the
-    reservation engine is the message-level one.
+    reservation engine is the message-level ``engine``, which also
+    supplies the simulation clock.
     """
+
+    reservation: SignalledReservationEngine
 
     def __init__(
         self,
-        simulator: Simulator,
         network: Network,
         source: NodeId,
         group: AnycastGroup,
         selector: DestinationSelector,
         retrial_policy: RetrialPolicy,
         rng: RandomStream,
-        engine: Optional[SignalledReservationEngine] = None,
+        engine: SignalledReservationEngine,
+        resample_failed: bool = False,
     ):
-        self.simulator = simulator
-        self.network = network
-        self.source = source
-        self.group = group
-        self.selector = selector
-        self.retrial_policy = retrial_policy
-        self.rng = rng
-        self.engine = engine or SignalledReservationEngine(simulator, network)
-        self.routes = RouteTable(network, source, group.members)
-        self.requests_seen = 0
-        self.requests_admitted = 0
-        # Robust mode reserves under per-attempt keys so the orphans
-        # of a timed-out attempt can never collide with (or be torn
-        # down by) a later attempt of the same flow.  This maps an
-        # admitted flow to the key its links are actually held under.
+        super().__init__(
+            network,
+            source,
+            group,
+            selector,
+            retrial_policy,
+            rng,
+            engine,
+            resample_failed,
+        )
+        # The key each admitted flow's links are held under.
         self._reservation_keys: dict[Hashable, Hashable] = {}
 
-    def admit(
+    def admit(  # type: ignore[override]
         self,
         request: FlowRequest,
         on_decision: Callable[[SignalledAdmissionResult], None],
     ) -> None:
         """Start the DAC loop; ``on_decision`` fires when it concludes."""
-        if request.source != self.source:
-            raise ValueError(
-                f"request source {request.source!r} does not match "
-                f"router source {self.source!r}"
-            )
-        if request.group != self.group:
-            raise ValueError(
-                f"request group {request.group.address!r} does not match "
-                f"router group {self.group.address!r}"
-            )
-        self.requests_seen += 1
-        started_at = self.simulator.now
-        state = {
-            "attempts": 0,
-            "tried": [],
-            "excluded": set(),
-            "messages": 0,
-            "key": None,
-        }
-
-        robust = self.engine.robust
+        decision = self._open(request)
+        engine = self.reservation
+        simulator = engine.simulator
+        started_at = simulator.now
+        messages = 0
+        key: Hashable = None
 
         def attempt() -> None:
-            destination = self.selector.select(self.rng, exclude=state["excluded"])
-            state["attempts"] += 1
-            state["tried"].append(destination)
-            route = self.routes.route_to(destination)
-            key = (
-                (request.flow_id, state["attempts"]) if robust else request.flow_id
-            )
-            state["key"] = key
-            self.engine.reserve(
+            nonlocal key
+            route = self._select(decision)
+            key = (request.flow_id, len(decision.tried))
+            engine.reserve(
                 route,
                 key,
                 request.bandwidth_bps,
-                lambda outcome: conclude_or_retry(destination, route, outcome),
+                lambda outcome: conclude(route, outcome),
             )
 
-        def conclude_or_retry(destination, route, outcome: ReservationOutcome):
-            state["messages"] += outcome.messages
-            self.selector.observe(destination, outcome.success)
-            if outcome.success:
-                self.requests_admitted += 1
-                flow = AdmittedFlow(
-                    request=request,
-                    destination=destination,
-                    path=route.path,
-                    admitted_at=self.simulator.now,
-                    attempts=state["attempts"],
-                )
-                self._reservation_keys[request.flow_id] = state["key"]
-                finish(flow)
-                return
-            state["excluded"].add(destination)
-            keep_going = self.retrial_policy.should_retry(
-                attempts_made=state["attempts"],
-                distinct_tried=len(state["excluded"]),
-                group_size=self.group.size,
-            )
-            if keep_going:
+        def conclude(route: Route, outcome: ReservationOutcome) -> None:
+            nonlocal messages
+            messages += outcome.messages
+            now = simulator.now
+            result = self._conclude(decision, route, outcome.success, now)
+            if result is None:
                 attempt()
-            else:
-                finish(None)
-
-        def finish(flow: Optional[AdmittedFlow]) -> None:
-            result = AdmissionResult(
-                request=request,
-                flow=flow,
-                attempts=state["attempts"],
-                tried=tuple(state["tried"]),
-                decided_at=self.simulator.now,
-            )
+                return
+            if result.admitted:
+                self._reservation_keys[request.flow_id] = key
             on_decision(
                 SignalledAdmissionResult(
                     result=result,
-                    latency_s=self.simulator.now - started_at,
-                    messages=state["messages"],
-                    reservation_key=state["key"] if flow is not None else None,
+                    latency_s=now - started_at,
+                    messages=messages,
+                    reservation_key=key if result.admitted else None,
                 )
             )
 
         attempt()
 
-    def reservation_key_for(self, flow: AdmittedFlow) -> Hashable:
-        """The key ``flow``'s links are reserved under."""
-        return self._reservation_keys.get(flow.flow_id, flow.flow_id)
-
     def release(self, flow: AdmittedFlow) -> None:
-        """Tear down an admitted flow (TEAR messages charged)."""
+        """Tear down an admitted flow by a TEAR sweep (idempotent)."""
         if flow.released:
             return
-        key = self._reservation_keys.pop(flow.flow_id, flow.flow_id)
-        self.engine.release(flow.path, key)
+        key = self._reservation_keys.pop(flow.flow_id)
+        self.reservation.release(flow.path, key)
         flow.released = True

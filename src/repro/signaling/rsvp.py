@@ -12,22 +12,22 @@ a fixed route in simulated time:
    bottleneck available bandwidth — the route-bandwidth feedback the
    WD/D+B algorithm needs RESV to carry;
 3. if a link refuses (a competing session won the race since the PATH
-   probe), the partial reservations are rolled back and a PATH_ERR is
-   charged for the remaining distance to the source.
+   probe), a PATH_ERR is charged for the remaining distance to the
+   source and a TEAR sweeps downstream, releasing the partial
+   reservations hop by hop.
 
 Message counts and latency are recorded so the experiment harness can
 report the true signalling cost of retrials.  Admission probabilities
 are unaffected relative to the atomic engine except for rare races,
 which tests quantify.
 
-Robust mode
------------
-By default every transfer is delivered reliably and instantly trusted
-— the idealization the paper works in.  Passing a
-:class:`repro.signaling.channel.SignalingChannel`, a
-:class:`repro.signaling.channel.RetransmitPolicy` and/or a
-:class:`repro.signaling.softstate.LeaseTable` switches a session into
-*robust mode*:
+Every hop transfer, TEARs included, goes through a
+:class:`repro.signaling.channel.SignalingChannel`.  The default is the
+perfect channel — the idealization the paper works in — which makes
+exactly one ``schedule`` call per message and no random draws.  A lossy
+channel is paired with a
+:class:`repro.signaling.channel.RetransmitPolicy` and usually a
+:class:`repro.signaling.softstate.LeaseTable`:
 
 * each hop transfer is guarded by a timer; undelivered messages are
   retransmitted with exponential backoff up to a cap, and receivers
@@ -38,10 +38,6 @@ By default every transfer is delivered reliably and instantly trusted
   partial reservations — through the same unreliable channel, so a
   lost TEAR leaves orphans (which the lease collector later reclaims);
 * every installed per-link reservation registers a soft-state lease.
-
-Defaults leave every legacy behaviour bit-identical: without channel,
-retransmit policy or lease table, a session performs exactly the same
-schedule calls and synchronous race rollback as before.
 """
 
 from __future__ import annotations
@@ -84,9 +80,9 @@ class ReservationOutcome:
         The ``(u, v)`` pair that refused, if any.
     timed_out:
         Whether the attempt failed because a hop transfer exhausted
-        its retransmissions (robust mode only).
+        its retransmissions.
     retransmissions:
-        Retransmitted messages within the attempt (robust mode only).
+        Retransmitted messages within the attempt.
     """
 
     success: bool
@@ -110,7 +106,6 @@ class _TearSweep:
     """
 
     __slots__ = (
-        "_simulator",
         "_network",
         "_channel",
         "_path",
@@ -122,16 +117,14 @@ class _TearSweep:
 
     def __init__(
         self,
-        simulator: Simulator,
         network: Network,
-        channel: Optional[SignalingChannel],
+        channel: SignalingChannel,
         path: Sequence,
         flow_id: FlowId,
         processing_delay_s: float,
         leases: Optional[LeaseTable],
         on_message: Callable[[], None],
     ) -> None:
-        self._simulator = simulator
         self._network = network
         self._channel = channel
         self._path = tuple(path)
@@ -164,11 +157,7 @@ class _TearSweep:
             return
         self._on_message()
         delay = link.propagation_delay_s + self._processing_delay
-        deliver = lambda: self.release_and_forward(node_index + 1)  # noqa: E731
-        if self._channel is None:
-            self._simulator.schedule(delay, deliver)
-        else:
-            self._channel.send(delay, deliver)
+        self._channel.send(delay, lambda: self.release_and_forward(node_index + 1))
 
 
 class RsvpSession:
@@ -178,15 +167,15 @@ class RsvpSession:
     ----------
     simulator, network, route, flow_id, bandwidth_bps, on_complete:
         As before; ``flow_id`` doubles as the reservation key on every
-        link (callers running retries over an unreliable plane pass a
-        per-attempt key so a timed-out attempt's orphans never collide
-        with a later attempt).
+        link (callers running retries pass a per-attempt key so a
+        timed-out attempt's orphans never collide with a later
+        attempt).
     processing_delay_s:
         Per-hop message processing time.
     channel:
-        Optional unreliable delivery substrate.  A channel with loss
-        or duplication requires ``retransmit`` (timers provide both
-        recovery and receiver-side deduplication).
+        Delivery substrate; defaults to the perfect channel.  A channel
+        with loss or duplication requires ``retransmit`` (timers
+        provide both recovery and receiver-side deduplication).
     retransmit:
         Optional per-hop timeout/retransmission policy.
     leases:
@@ -211,12 +200,11 @@ class RsvpSession:
         leases: Optional[LeaseTable] = None,
         on_tear_message: Optional[Callable[[], None]] = None,
     ):
-        if bandwidth_bps < 0:
+        if not bandwidth_bps >= 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-        if (
-            channel is not None
-            and retransmit is None
-            and (channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0)
+        channel = channel if channel is not None else SignalingChannel(simulator)
+        if retransmit is None and (
+            channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0
         ):
             raise ValueError(
                 "a channel with loss or duplication requires a "
@@ -234,12 +222,11 @@ class RsvpSession:
         self._retransmit = retransmit
         self._leases = leases
         self._on_tear_message = on_tear_message
-        self._robust = (
-            channel is not None or retransmit is not None or leases is not None
-        )
         self._messages = 0
         self._retransmissions = 0
         self._started_at = simulator.now
+        #: legs this session's RESV installed and no TEAR has taken
+        #: over yet
         self._reserved_links: list = []
 
     # ------------------------------------------------------------------
@@ -255,12 +242,6 @@ class RsvpSession:
     # ------------------------------------------------------------------
     # transfer primitive: one hop, reliable or guarded by timers
     # ------------------------------------------------------------------
-    def _send(self, delay_s: float, deliver: Callable[[], None]) -> None:
-        if self._channel is None:
-            self._simulator.schedule(delay_s, deliver)
-        else:
-            self._channel.send(delay_s, deliver)
-
     def _transfer(
         self,
         delay_s: float,
@@ -269,7 +250,7 @@ class RsvpSession:
     ) -> None:
         """Move one message across one hop.
 
-        Without a retransmit policy this is a single (possibly lossy)
+        Without a retransmit policy this is a single channel
         transmission.  With one, the sender arms a backoff timer per
         transmission and retransmits until delivery or the cap;
         ``on_lost`` fires when the cap is exhausted.  The receiver
@@ -279,7 +260,7 @@ class RsvpSession:
         self._messages += 1
         policy = self._retransmit
         if policy is None:
-            self._send(delay_s, deliver)
+            self._channel.send(delay_s, deliver)
             return
         state = {"done": False, "tries": 0}
         timer_box: list[Optional[Event]] = [None]
@@ -311,7 +292,7 @@ class RsvpSession:
             timer_box[0] = self._simulator.schedule(
                 policy.timeout(state["tries"]), timed_out
             )
-            self._send(delay_s, arrive)
+            self._channel.send(delay_s, arrive)
 
         transmit()
 
@@ -365,30 +346,14 @@ class RsvpSession:
         try:
             link.reserve(self._flow_id, self._bandwidth)
         except InsufficientBandwidthError:
-            if self._robust:
-                # Race lost mid-sweep: tear the downstream partial
-                # reservations hop by hop (the TEAR itself may be
-                # lost; leases then cover the orphans) and charge
-                # PATH_ERR messages back to the source.
-                self._messages += node_index
-                if self._reserved_links:
-                    self._reserved_links.clear()
-                    self._start_tear().start_from(node_index)
-                self._finish(
-                    success=False,
-                    bottleneck=bottleneck,
-                    failed_link=(link.source, link.target),
-                )
-                return
-            # Legacy mode: roll back synchronously.  A fault may have
-            # collected one of our legs while the RESV sweep was in
-            # flight, so the rollback must tolerate already-released
-            # links — a strict release would KeyError mid-sweep and
-            # strand every leg after the hole.
-            for reserved in self._reserved_links:
-                reserved.release_if_held(self._flow_id)
-            self._reserved_links.clear()
-            self._messages += node_index  # PATH_ERR to the source
+            # Race lost mid-sweep: charge PATH_ERR messages back to the
+            # source and tear the downstream partial reservations hop
+            # by hop (the TEAR itself may be lost; leases then cover
+            # the orphans).
+            self._messages += node_index
+            if self._reserved_links:
+                self._reserved_links.clear()
+                self._start_tear().start_from(node_index)
             self._finish(
                 success=False,
                 bottleneck=bottleneck,
@@ -426,7 +391,6 @@ class RsvpSession:
     def _start_tear(self) -> _TearSweep:
         on_message = self._on_tear_message
         return _TearSweep(
-            self._simulator,
             self._network,
             self._channel,
             self._route.path,
@@ -465,10 +429,9 @@ class SignalledReservationEngine:
     round-trip signalling delay, and message/latency totals accumulate
     for overhead reporting.
 
-    Passing ``channel``/``retransmit``/``leases`` puts every session
-    in robust mode (see the module docstring); releases then travel as
-    hop-by-hop TEAR sweeps through the channel instead of the legacy
-    synchronous ``release_path``.
+    Every session and every release goes through ``channel`` (the
+    perfect channel unless given); releases travel as hop-by-hop TEAR
+    sweeps, so the links free up one hop delay apart.
     """
 
     def __init__(
@@ -483,28 +446,19 @@ class SignalledReservationEngine:
         self.simulator = simulator
         self.network = network
         self.processing_delay_s = processing_delay_s
-        self.channel = channel
+        self.channel = channel if channel is not None else SignalingChannel(simulator)
         self.retransmit = retransmit
         self.leases = leases
         self.attempts = 0
         self.failures = 0
         self.total_messages = 0
         self.total_latency_s = 0.0
-        #: retransmitted messages across all attempts (robust mode)
+        #: retransmitted messages across all attempts
         self.total_retransmissions = 0
         #: attempts abandoned because a hop exhausted its retries
         self.timeouts = 0
         #: TEAR transmissions (teardowns outlive their attempts)
         self.tear_messages = 0
-
-    @property
-    def robust(self) -> bool:
-        """Whether sessions run with robustness machinery attached."""
-        return (
-            self.channel is not None
-            or self.retransmit is not None
-            or self.leases is not None
-        )
 
     def _count_tear_message(self) -> None:
         self.total_messages += 1
@@ -519,9 +473,9 @@ class SignalledReservationEngine:
     ) -> None:
         """Start a reservation attempt; ``on_complete`` fires later.
 
-        ``flow_id`` is the reservation key on every link; robust-mode
-        callers pass a per-attempt key (see
-        :class:`repro.signaling.admission.SignalledACRouter`).
+        ``flow_id`` is the reservation key on every link;
+        :class:`repro.signaling.admission.SignalledACRouter` passes a
+        per-attempt key.
         """
         self.attempts += 1
 
@@ -553,17 +507,11 @@ class SignalledReservationEngine:
     def release(self, path: Sequence, flow_id: FlowId) -> None:
         """Tear down a reservation; TEAR messages are charged.
 
-        Legacy mode releases synchronously (the idealized instant
-        teardown).  Robust mode launches a hop-by-hop TEAR sweep
-        through the channel: each delivered hop releases its leg, and
-        a lost TEAR strands the rest for the lease collector.
+        Launches a hop-by-hop TEAR sweep through the channel: each
+        delivered hop releases its leg, and a lost TEAR strands the
+        rest for the lease collector.
         """
-        if not self.robust:
-            self.network.release_path(path, flow_id)
-            self.total_messages += max(0, len(path) - 1)
-            return
         _TearSweep(
-            self.simulator,
             self.network,
             self.channel,
             path,

@@ -45,8 +45,8 @@ from repro.network.link import Link
 from repro.network.topology import Network
 from repro.sim.engine import Event, Simulator
 
-#: A reservation key: the flow id itself, or a per-attempt tuple when
-#: the robust signalling mode isolates attempts from each other.
+#: A reservation key: the signalled router's per-attempt
+#: ``(flow_id, attempt)`` tuple, which isolates attempts from each other.
 LeaseKey = Hashable
 
 

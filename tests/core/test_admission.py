@@ -133,6 +133,20 @@ class TestAdmission:
         with pytest.raises(ValueError):
             router.admit(make_request(members=(0,)))
 
+    def test_selector_routes_from_another_source_rejected(self, network):
+        group = AnycastGroup("G", (0, 3))
+        routes = RouteTable(network, 2, (0, 3))
+        context = SelectionContext(network=network, routes=routes, group=group)
+        with pytest.raises(ValueError, match="router source"):
+            ACRouter(
+                network=network,
+                source=1,
+                group=group,
+                selector=EvenDistribution(context),
+                retrial_policy=CounterRetrialPolicy(2),
+                rng=StreamFactory(7).stream("router"),
+            )
+
     def test_decided_at_defaults_to_arrival(self, network):
         router = make_router(network)
         request = make_request()

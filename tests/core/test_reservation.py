@@ -1,5 +1,7 @@
 """Unit tests for atomic reservation (repro.core.reservation)."""
 
+import math
+
 import pytest
 
 from repro.core.reservation import AtomicReservationEngine
@@ -42,6 +44,11 @@ class TestTryReserve:
     def test_negative_bandwidth_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.try_reserve(ROUTE, "f1", -1.0)
+
+    def test_nan_bandwidth_rejected(self, network, engine):
+        with pytest.raises(ValueError):
+            engine.try_reserve(ROUTE, "f1", math.nan)
+        assert network.total_reserved_bps() == 0.0
 
     def test_zero_hop_route_always_succeeds(self, network, engine):
         degenerate = Route(source=0, destination=0, path=(0,))

@@ -85,6 +85,8 @@ class TestBuildSystem:
             controller = system.controller_for(source)
             assert isinstance(controller, ACRouter)
             assert controller.source == source
+            # One route table per source, shared with the selector.
+            assert controller.routes is controller.selector.context.routes
 
     def test_selector_classes_match_algorithm(self, group):
         cases = {

@@ -136,6 +136,18 @@ class TestConfigValidation:
                 chaos=ChaosConfig(),
             )
 
+    def test_stale_bandwidth_view_rejected(self):
+        config = small_config()
+        with pytest.raises(ValueError, match="bandwidth_refresh_s"):
+            ChaosSimulation(
+                network_factory=config.network_factory(),
+                system_spec=SystemSpec(
+                    "WD/D+B", retrials=2, bandwidth_refresh_s=5.0
+                ),
+                workload=config.workload(20.0),
+                chaos=ChaosConfig(),
+            )
+
     def test_sp_forces_single_attempt(self):
         config = small_config()
         simulation = ChaosSimulation(
@@ -160,6 +172,28 @@ class TestConfigValidation:
         simulation.run()
         with pytest.raises(RuntimeError):
             simulation.run()
+
+
+class TestSpecPassThrough:
+    def test_resample_failed_reaches_the_loop(self):
+        config = small_config()
+        results = []
+        for resample_failed in (False, True):
+            simulation = ChaosSimulation(
+                network_factory=config.network_factory(),
+                system_spec=SystemSpec(
+                    "ED", retrials=5, resample_failed=resample_failed
+                ),
+                workload=config.workload(40.0),
+                chaos=ChaosConfig(),
+                warmup_s=20.0,
+                measure_s=60.0,
+            )
+            for router in simulation.routers.values():
+                assert router.resample_failed is resample_failed
+            results.append(simulation.run())
+        # Redrawing refused members changes how many attempts it takes.
+        assert results[0].mean_attempts != results[1].mean_attempts
 
 
 class TestFigure:

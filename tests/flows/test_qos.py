@@ -1,5 +1,7 @@
 """Unit tests for QoS and the WFQ delay mapping (repro.flows.qos)."""
 
+import math
+
 import pytest
 
 from repro.flows.qos import (
@@ -17,6 +19,13 @@ class TestQoSRequirement:
     def test_positive_bandwidth_required(self):
         with pytest.raises(ValueError):
             QoSRequirement(bandwidth_bps=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_finite_bandwidth_required(self, value):
+        # A NaN flow would otherwise be refused as if the network were
+        # full; an infinite one could never be admitted.
+        with pytest.raises(ValueError):
+            QoSRequirement(bandwidth_bps=value)
 
     def test_positive_delay_required(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for workload generation (repro.flows.traffic)."""
 
+import math
+
 import pytest
 
 from repro.flows.group import AnycastGroup
@@ -34,6 +36,23 @@ class TestWorkloadSpec:
             make_spec(mean_lifetime_s=0.0)
         with pytest.raises(ValueError):
             make_spec(bandwidth_bps=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_rate", math.nan),
+            ("arrival_rate", math.inf),
+            ("mean_lifetime_s", math.nan),
+            ("bandwidth_bps", math.nan),
+            ("bandwidth_bps", math.inf),
+            ("bandwidth_classes", ((math.nan, 1.0),)),
+            ("bandwidth_classes", ((math.inf, 1.0),)),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        # Caught here rather than at the first draw or admission.
+        with pytest.raises(ValueError):
+            make_spec(**{field: value})
 
     def test_qos_carries_bandwidth_and_delay(self):
         spec = make_spec(delay_bound_s=0.1)

@@ -1,5 +1,7 @@
 """Unit tests for capacitated links (repro.network.link)."""
 
+import math
+
 import pytest
 
 from repro.network.link import InsufficientBandwidthError, Link
@@ -61,6 +63,12 @@ class TestReservation:
         link = Link(0, 1, capacity_bps=100.0)
         with pytest.raises(ValueError):
             link.reserve("f1", -5.0)
+
+    def test_nan_bandwidth_rejected(self):
+        link = Link(0, 1, capacity_bps=100.0)
+        with pytest.raises(ValueError):
+            link.reserve("f1", math.nan)
+        assert not link.holds("f1")
 
     def test_zero_bandwidth_reservation_allowed(self):
         link = Link(0, 1, capacity_bps=100.0)

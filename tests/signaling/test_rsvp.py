@@ -1,5 +1,7 @@
 """Unit tests for RSVP-lite sessions (repro.signaling.rsvp)."""
 
+import math
+
 import pytest
 
 from repro.network.routing import Route
@@ -97,10 +99,10 @@ class TestFailedReservation:
         assert network.link(0, 1).holds("thief")
 
     def test_race_rollback_tolerates_fault_collected_leg(self, network):
-        # Legacy-mode rollback regression (lint rule R5): while the
-        # RESV sweep holds (2,3) and (1,2), a fault collects (2,3) and
-        # a rival grabs (0,1).  The synchronous rollback must not
-        # KeyError on the missing leg and strand (1,2).
+        # Rollback regression (lint rule R5): while the RESV sweep
+        # holds (2,3) and (1,2), a fault collects (2,3) and a rival
+        # grabs (0,1).  The TEAR must not KeyError on the missing leg
+        # and strand (1,2).
         simulator = Simulator()
         outcomes = []
         session = RsvpSession(
@@ -123,6 +125,10 @@ class TestFailedReservation:
     def test_invalid_bandwidth_rejected(self, simulator, network):
         with pytest.raises(ValueError):
             RsvpSession(simulator, network, ROUTE, "f1", -1.0, lambda o: None)
+
+    def test_nan_bandwidth_rejected(self, simulator, network):
+        with pytest.raises(ValueError):
+            RsvpSession(simulator, network, ROUTE, "f1", math.nan, lambda o: None)
 
 
 class TestSignalledEngine:
@@ -147,6 +153,7 @@ class TestSignalledEngine:
         simulator.run()
         before = engine.total_messages
         engine.release(ROUTE.path, "f1")
+        simulator.run()  # the TEAR sweeps hop by hop
         assert engine.total_messages == before + 3
         assert network.total_reserved_bps() == 0.0
 

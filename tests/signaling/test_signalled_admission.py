@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.core.admission import ACRouter
 from repro.core.retrial import CounterRetrialPolicy
 from repro.core.selection import EvenDistribution, SelectionContext
+from repro.core.system import ALGORITHM_NAMES, SystemSpec, build_selector
 from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
 from repro.network.routing import RouteTable
 from repro.network.topologies import line, mci_backbone
 from repro.signaling.admission import SignalledACRouter
+from repro.signaling.rsvp import SignalledReservationEngine
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import StreamFactory
+
+DISTRIBUTED_ALGORITHMS = tuple(a for a in ALGORITHM_NAMES if a != "GDI")
 
 
 def make_router(network, simulator, source=1, members=(0, 3), retrials=2, seed=7):
@@ -19,13 +24,13 @@ def make_router(network, simulator, source=1, members=(0, 3), retrials=2, seed=7
     routes = RouteTable(network, source, members)
     context = SelectionContext(network=network, routes=routes, group=group)
     return SignalledACRouter(
-        simulator=simulator,
         network=network,
         source=source,
         group=group,
         selector=EvenDistribution(context),
         retrial_policy=CounterRetrialPolicy(retrials),
         rng=StreamFactory(seed).stream("router"),
+        engine=SignalledReservationEngine(simulator, network),
     )
 
 
@@ -105,53 +110,56 @@ class TestDecisions:
         outcome = admit_sync(router, simulator, make_request())
         router.release(outcome.result.flow)
         router.release(outcome.result.flow)
+        simulator.run()  # the TEAR sweeps hop by hop
         assert network.total_reserved_bps() == 0.0
 
 
 class TestEquivalenceWithAtomicRouter:
-    def test_sequential_decisions_match_atomic_router(self):
-        """With no signalling concurrency, decisions equal ACRouter's."""
-        from repro.core.admission import ACRouter
-        from repro.core.retrial import CounterRetrialPolicy
+    @pytest.mark.parametrize("resample_failed", [False, True])
+    @pytest.mark.parametrize("retrials", [1, 2, 5])
+    @pytest.mark.parametrize("algorithm", DISTRIBUTED_ALGORITHMS)
+    def test_sequential_decisions_match_atomic_router(
+        self, algorithm, retrials, resample_failed
+    ):
+        """With no signalling concurrency, decisions equal ACRouter's.
 
+        Every third request releases the oldest held flow on both
+        routers first; the TEAR drains before the next request.
+        """
         members = (0, 4, 8, 12, 16)
         group = AnycastGroup("G", members)
+        spec = SystemSpec(algorithm, retrials=retrials)
 
-        def build_atomic(network):
+        def loop_parts(network):
             routes = RouteTable(network, 9, members)
             context = SelectionContext(
                 network=network, routes=routes, group=group
             )
-            return ACRouter(
+            return dict(
                 network=network,
                 source=9,
                 group=group,
-                selector=EvenDistribution(context),
-                retrial_policy=CounterRetrialPolicy(2),
+                selector=build_selector(spec, context),
+                retrial_policy=CounterRetrialPolicy(retrials),
                 rng=StreamFactory(42).stream("router"),
-            )
-
-        def build_signalled(network, simulator):
-            routes = RouteTable(network, 9, members)
-            context = SelectionContext(
-                network=network, routes=routes, group=group
-            )
-            return SignalledACRouter(
-                simulator=simulator,
-                network=network,
-                source=9,
-                group=group,
-                selector=EvenDistribution(context),
-                retrial_policy=CounterRetrialPolicy(2),
-                rng=StreamFactory(42).stream("router"),
+                resample_failed=resample_failed,
             )
 
         atomic_network = mci_backbone(capacity_bps=3 * 64_000.0)
         signalled_network = mci_backbone(capacity_bps=3 * 64_000.0)
-        atomic = build_atomic(atomic_network)
+        atomic = ACRouter(**loop_parts(atomic_network))
         simulator = Simulator()
-        signalled = build_signalled(signalled_network, simulator)
+        signalled = SignalledACRouter(
+            **loop_parts(signalled_network),
+            engine=SignalledReservationEngine(simulator, signalled_network),
+        )
+        held = []
         for flow_id in range(120):
+            if flow_id % 3 == 2 and held:
+                atomic_flow, signalled_flow = held.pop(0)
+                atomic.release(atomic_flow)
+                signalled.release(signalled_flow)
+                simulator.run()
             request = FlowRequest(
                 flow_id=flow_id,
                 source=9,
@@ -160,9 +168,18 @@ class TestEquivalenceWithAtomicRouter:
             )
             atomic_result = atomic.admit(request)
             signalled_outcome = admit_sync(signalled, simulator, request)
-            assert signalled_outcome.admitted == atomic_result.admitted
+            signalled_result = signalled_outcome.result
+            assert signalled_result.admitted == atomic_result.admitted
+            assert signalled_result.tried == atomic_result.tried
             if atomic_result.admitted:
                 assert (
-                    signalled_outcome.result.flow.destination
+                    signalled_result.flow.destination
                     == atomic_result.flow.destination
                 )
+                held.append((atomic_result.flow, signalled_result.flow))
+        assert signalled.requests_admitted == atomic.requests_admitted
+        assert signalled.total_attempts == atomic.total_attempts
+        assert (
+            signalled_network.total_reserved_bps()
+            == atomic_network.total_reserved_bps()
+        )
