@@ -14,6 +14,7 @@ paper's scheme is :class:`CounterRetrialPolicy`.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,13 +137,16 @@ class ExponentialBackoff:
         jitter: float = 0.0,
         rng: Optional["RandomStream"] = None,
     ) -> None:
-        if initial_timeout_s <= 0:
+        # Written so that NaN fails: a sender arms a timer only when no
+        # copy arrives before it, and every comparison with NaN is false.
+        if not 0.0 < initial_timeout_s < math.inf:
             raise ValueError(
-                f"initial timeout must be positive, got {initial_timeout_s}"
+                f"initial timeout must be finite and positive, got {initial_timeout_s}"
             )
-        if factor < 1.0:
-            raise ValueError(f"backoff factor must be >= 1, got {factor}")
-        if max_timeout_s < initial_timeout_s:
+        if not 1.0 <= factor < math.inf:
+            raise ValueError(f"backoff factor must be finite and >= 1, got {factor}")
+        # An infinite cap (the default) means no cap.
+        if not max_timeout_s >= initial_timeout_s:
             raise ValueError(
                 f"max timeout {max_timeout_s} below initial {initial_timeout_s}"
             )

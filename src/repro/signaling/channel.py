@@ -17,6 +17,14 @@ Each impairment draws from its *own* :class:`RandomStream` so enabling
 one never perturbs the variate sequences of the others (common random
 numbers), and the whole channel is deterministic under a fixed seed.
 
+A sender that needs to know whether a transmission will arrive before
+some deadline calls :meth:`SignalingChannel.plan` first: it draws the
+transmission's fate (loss, duplication, each copy's extra delay) and
+returns the copies' arrival delays, and the next
+:meth:`SignalingChannel.send` delivers exactly that fate.  A ``send``
+without a plan draws the fate itself.  Either way each stream sees the
+same draws in the same order, so planning changes no variate.
+
 The perfect channel is the default and is guaranteed bit-identical to
 scheduling directly on the simulator: with all rates at zero,
 :meth:`SignalingChannel.send` performs exactly one
@@ -33,6 +41,8 @@ how many times to retransmit before declaring the transfer lost.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable, Optional
 
 from repro.core.retrial import ExponentialBackoff
@@ -71,9 +81,10 @@ class SignalingChannel:
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss rate must be in [0, 1), got {loss_rate}")
-        if extra_delay_s < 0.0:
+        # Written so that NaN fails.
+        if not 0.0 <= extra_delay_s < math.inf:
             raise ValueError(
-                f"extra delay must be non-negative, got {extra_delay_s}"
+                f"extra delay must be finite and non-negative, got {extra_delay_s}"
             )
         if not 0.0 <= duplicate_rate < 1.0:
             raise ValueError(
@@ -99,41 +110,70 @@ class SignalingChannel:
         self.dropped = 0
         #: extra deliveries created by duplication
         self.duplicated = 0
+        # Arrival delays drawn by plan() for the next send(), if any.
+        self._planned: Optional[tuple[float, ...]] = None
 
     @property
     def impaired(self) -> bool:
         """Whether any impairment is active."""
         return self._impaired
 
+    def plan(self, delay_s: float) -> tuple[float, ...]:
+        """Draw the fate of the next transmission of a ``delay_s`` message.
+
+        Returns the arrival delays of the copies that will survive, in
+        the order :meth:`send` schedules them: empty if the message is
+        lost, two delays if it is duplicated.  The next :meth:`send`
+        delivers exactly this fate, so the caller must send next.  The
+        perfect channel draws nothing and returns ``(delay_s,)``.
+        """
+        if not self._impaired:
+            return (delay_s,)
+        arrivals = self._planned = self._draw_fate(delay_s)
+        return arrivals
+
     def send(self, delay_s: float, deliver: Callable[[], None]) -> None:
         """Transmit one message; ``deliver`` fires on each arrival.
 
         ``delay_s`` is the nominal propagation + processing delay.  A
         lost message never fires ``deliver``; a duplicated one fires it
-        twice (receivers deduplicate).  The perfect channel compiles to
-        exactly one ``schedule`` call with no rng draws.
+        twice (receivers deduplicate).  The fate is the one drawn by
+        the preceding :meth:`plan`, or drawn now if there was none.
+        The perfect channel compiles to exactly one ``schedule`` call
+        with no rng draws.
         """
         self.sent += 1
-        if not self._impaired:
-            self._simulator.schedule(delay_s, deliver)
-            return
+        arrivals = self._planned
+        if arrivals is None:
+            if not self._impaired:
+                self._simulator.schedule(delay_s, deliver)
+                return
+            arrivals = self._draw_fate(delay_s)
+        else:
+            self._planned = None
+        for arrival in arrivals:
+            self._simulator.schedule(arrival, deliver)
+
+    def _draw_fate(self, delay_s: float) -> tuple[float, ...]:
+        """Loss, duplication and extra delays of one transmission."""
         if self.loss_rate > 0.0:
             assert self._loss_rng is not None  # enforced by the constructor
             if self._loss_rng.uniform() < self.loss_rate:
                 self.dropped += 1
-                return
-        self._deliver_copy(delay_s, deliver)
+                return ()
+        first = self._copy_delay(delay_s)
         if self.duplicate_rate > 0.0:
             assert self._duplicate_rng is not None
             if self._duplicate_rng.uniform() < self.duplicate_rate:
                 self.duplicated += 1
-                self._deliver_copy(delay_s, deliver)
+                return (first, self._copy_delay(delay_s))
+        return (first,)
 
-    def _deliver_copy(self, delay_s: float, deliver: Callable[[], None]) -> None:
+    def _copy_delay(self, delay_s: float) -> float:
         if self.extra_delay_s > 0.0:
             assert self._delay_rng is not None
             delay_s += self._delay_rng.uniform(0.0, self.extra_delay_s)
-        self._simulator.schedule(delay_s, deliver)
+        return delay_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -160,9 +200,10 @@ class RetransmitPolicy:
     """
 
     def __init__(self, backoff: ExponentialBackoff, max_retransmits: int = 3) -> None:
-        if max_retransmits < 0:
+        if not isinstance(max_retransmits, numbers.Integral) or max_retransmits < 0:
             raise ValueError(
-                f"max retransmits must be non-negative, got {max_retransmits}"
+                "max retransmits must be a non-negative integer, "
+                f"got {max_retransmits!r}"
             )
         self.backoff = backoff
         self.max_retransmits = max_retransmits

@@ -31,7 +31,11 @@ channel is paired with a
 
 * each hop transfer is guarded by a timer; undelivered messages are
   retransmitted with exponential backoff up to a cap, and receivers
-  deduplicate late or duplicated copies;
+  deduplicate late or duplicated copies.  The session asks the channel
+  for a transmission's fate before sending it and arms the timer only
+  when it can fire: when no copy arrives strictly before the timeout.
+  A timer is scheduled before its own copies, so it wins an exact tie;
+  a timer that is never armed is one a copy would have cancelled;
 * when a transfer exhausts its retransmissions the session gives up:
   a PATH-phase loss behaves like a fail-fast PATH_ERR, a RESV-phase
   loss additionally starts a TEAR sweeping downstream to release the
@@ -42,6 +46,7 @@ channel is paired with a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -57,6 +62,15 @@ FlowId = Hashable
 #: Per-hop message processing time (seconds); propagation delay comes
 #: from each link.  Matches small-router forwarding-plane latencies.
 DEFAULT_PROCESSING_DELAY_S = 0.0002
+
+
+def _check_processing_delay(processing_delay_s: float) -> None:
+    # Written so that NaN fails.
+    if not 0.0 <= processing_delay_s < math.inf:
+        raise ValueError(
+            "processing delay must be finite and non-negative, "
+            f"got {processing_delay_s}"
+        )
 
 
 @dataclass
@@ -160,6 +174,100 @@ class _TearSweep:
         self._channel.send(delay, lambda: self.release_and_forward(node_index + 1))
 
 
+class _Transfer:
+    """One PATH or RESV message crossing one hop of a session's path.
+
+    Without a retransmit policy this is a single channel transmission.
+    With one, each transmission is guarded by a backoff timer and the
+    message is retransmitted until a copy arrives or the cap is
+    exhausted, when the session's ``_path_lost``/``_resv_lost`` fires.
+    The timer is armed only if no copy of the transmission arrives
+    strictly before it; a copy that does would cancel it unfired.  The
+    receiver side (:meth:`arrive`) deduplicates, so duplicated or
+    straggling copies cannot advance the protocol twice.
+    """
+
+    __slots__ = (
+        "_session",
+        "_delay",
+        "_resv",
+        "_node",
+        "_bottleneck",
+        "_tries",
+        "_done",
+        "_timer",
+    )
+
+    def __init__(
+        self,
+        session: "RsvpSession",
+        delay_s: float,
+        resv: bool,
+        node_index: int,
+        bottleneck: float,
+    ) -> None:
+        session._messages += 1
+        self._session = session
+        self._delay = delay_s
+        # PATH travels away from path[0], RESV towards it; ``node_index``
+        # is the sender's position on the path.
+        self._resv = resv
+        self._node = node_index
+        self._bottleneck = bottleneck
+        self._tries = 0
+        self._done = False
+        self._timer: Optional[Event] = None
+
+    def transmit(self) -> None:
+        """Send one copy of the message, arming its timer if it can fire."""
+        session = self._session
+        channel = session._channel
+        policy = session._retransmit
+        if policy is None:
+            channel.send(self._delay, self.arrive)
+            return
+        timeout = policy.timeout(self._tries)
+        arrivals = channel.plan(self._delay)
+        simulator = session._simulator
+        now = simulator.now
+        # Compare the absolute times Simulator.schedule computes.  On a
+        # tie the timer fires first: it is scheduled before the copies.
+        if not arrivals or now + min(arrivals) >= now + timeout:
+            self._timer = simulator.schedule(timeout, self.timed_out)
+        channel.send(self._delay, self.arrive)
+
+    def arrive(self) -> None:
+        """A copy reached the next node: advance the protocol once."""
+        if self._done:
+            return  # duplicate or late copy
+        self._done = True
+        timer = self._timer
+        if timer is not None:
+            timer.cancel()
+        if self._resv:
+            self._session._advance_resv(self._node - 1, self._bottleneck)
+        else:
+            self._session._advance_path(self._node + 1)
+
+    def timed_out(self) -> None:
+        """No copy arrived in time: retransmit, or give up at the cap."""
+        self._timer = None
+        session = self._session
+        assert session._retransmit is not None  # only armed with a policy
+        if self._tries >= session._retransmit.max_retransmits:
+            # Give up; suppress any straggler copies still in flight.
+            self._done = True
+            if self._resv:
+                session._resv_lost(self._node, self._bottleneck)
+            else:
+                session._path_lost(self._node)
+            return
+        self._tries += 1
+        session._messages += 1
+        session._retransmissions += 1
+        self.transmit()
+
+
 class RsvpSession:
     """One PATH/RESV exchange for one flow over one route.
 
@@ -171,7 +279,7 @@ class RsvpSession:
         timed-out attempt's orphans never collide with a later
         attempt).
     processing_delay_s:
-        Per-hop message processing time.
+        Per-hop message processing time (finite, non-negative).
     channel:
         Delivery substrate; defaults to the perfect channel.  A channel
         with loss or duplication requires ``retransmit`` (timers
@@ -202,6 +310,7 @@ class RsvpSession:
     ):
         if not bandwidth_bps >= 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
+        _check_processing_delay(processing_delay_s)
         channel = channel if channel is not None else SignalingChannel(simulator)
         if retransmit is None and (
             channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0
@@ -240,67 +349,14 @@ class RsvpSession:
         self._advance_path(hop_index=0)
 
     # ------------------------------------------------------------------
-    # transfer primitive: one hop, reliable or guarded by timers
-    # ------------------------------------------------------------------
-    def _transfer(
-        self,
-        delay_s: float,
-        deliver: Callable[[], None],
-        on_lost: Callable[[], None],
-    ) -> None:
-        """Move one message across one hop.
-
-        Without a retransmit policy this is a single channel
-        transmission.  With one, the sender arms a backoff timer per
-        transmission and retransmits until delivery or the cap;
-        ``on_lost`` fires when the cap is exhausted.  The receiver
-        side deduplicates, so duplicated or straggling copies cannot
-        advance the protocol twice.
-        """
-        self._messages += 1
-        policy = self._retransmit
-        if policy is None:
-            self._channel.send(delay_s, deliver)
-            return
-        state = {"done": False, "tries": 0}
-        timer_box: list[Optional[Event]] = [None]
-
-        def arrive() -> None:
-            if state["done"]:
-                return  # duplicate or late copy
-            state["done"] = True
-            timer = timer_box[0]
-            if timer is not None:
-                timer.cancel()
-                timer_box[0] = None
-            deliver()
-
-        def timed_out() -> None:
-            if state["done"]:
-                return
-            if state["tries"] >= policy.max_retransmits:
-                # Give up; suppress any straggler copies still in flight.
-                state["done"] = True
-                on_lost()
-                return
-            state["tries"] += 1
-            self._messages += 1
-            self._retransmissions += 1
-            transmit()
-
-        def transmit() -> None:
-            timer_box[0] = self._simulator.schedule(
-                policy.timeout(state["tries"]), timed_out
-            )
-            self._channel.send(delay_s, arrive)
-
-        transmit()
-
-    # ------------------------------------------------------------------
     # PATH phase: source -> destination, advisory checks
     # ------------------------------------------------------------------
     def _advance_path(self, hop_index: int) -> None:
         path = self._route.path
+        if hop_index == len(path) - 1:
+            # PATH reached the destination: turn around as RESV.
+            self._advance_resv(hop_index, math.inf)
+            return
         link = self._network.link(path[hop_index], path[hop_index + 1])
         if not link.can_admit(self._bandwidth):
             # Fail fast: charge the hops travelled so far plus an error
@@ -313,14 +369,7 @@ class RsvpSession:
             )
             return
         delay = link.propagation_delay_s + self._processing_delay
-        if hop_index + 1 == len(path) - 1:
-            # PATH reached the destination: turn around as RESV.
-            deliver = lambda: self._advance_resv(  # noqa: E731
-                len(path) - 1, float("inf")
-            )
-        else:
-            deliver = lambda: self._advance_path(hop_index + 1)  # noqa: E731
-        self._transfer(delay, deliver, lambda: self._path_lost(hop_index))
+        _Transfer(self, delay, False, hop_index, math.inf).transmit()
 
     def _path_lost(self, hop_index: int) -> None:
         """The PATH transfer out of ``path[hop_index]`` exhausted retries."""
@@ -365,11 +414,7 @@ class RsvpSession:
             self._leases.register(self._flow_id, link)
         bottleneck = min(bottleneck, available_before)
         delay = link.propagation_delay_s + self._processing_delay
-        self._transfer(
-            delay,
-            lambda: self._advance_resv(node_index - 1, bottleneck),
-            lambda: self._resv_lost(node_index, bottleneck),
-        )
+        _Transfer(self, delay, True, node_index, bottleneck).transmit()
 
     def _resv_lost(self, node_index: int, bottleneck: float) -> None:
         """The RESV transfer out of ``path[node_index]`` exhausted retries.
@@ -443,6 +488,7 @@ class SignalledReservationEngine:
         retransmit: Optional[RetransmitPolicy] = None,
         leases: Optional[LeaseTable] = None,
     ):
+        _check_processing_delay(processing_delay_s)
         self.simulator = simulator
         self.network = network
         self.processing_delay_s = processing_delay_s

@@ -1,5 +1,7 @@
 """Unit tests for the unreliable channel (repro.signaling.channel)."""
 
+import math
+
 import pytest
 
 from repro.core.retrial import ExponentialBackoff
@@ -135,6 +137,80 @@ class TestDelayAndDuplication:
             return lost
 
         assert losses(0.0) == losses(0.4)
+
+
+class TestExtraDelayValidation:
+    @pytest.mark.parametrize("extra_delay_s", [math.nan, math.inf, -0.1])
+    def test_rejected(self, simulator, extra_delay_s):
+        with pytest.raises(ValueError):
+            SignalingChannel(
+                simulator,
+                extra_delay_s=extra_delay_s,
+                delay_rng=streams().stream("delay"),
+            )
+
+
+IMPAIRMENT_STREAMS = ("loss", "delay", "dup")
+
+
+def impaired_channel(simulator, factory):
+    loss, delay, dup = (factory.stream(name) for name in IMPAIRMENT_STREAMS)
+    return SignalingChannel(
+        simulator,
+        loss_rate=0.3,
+        extra_delay_s=0.02,
+        duplicate_rate=0.4,
+        loss_rng=loss,
+        delay_rng=delay,
+        duplicate_rng=dup,
+    )
+
+
+class TestPlannedSend:
+    def test_send_delivers_exactly_the_planned_fate(self):
+        simulator = Simulator()
+        channel = impaired_channel(simulator, StreamFactory(5))
+        for i in range(300):
+            arrivals = channel.plan(0.001 * (i % 7))
+            start = simulator.now
+            landed = []
+            channel.send(0.001 * (i % 7), lambda: landed.append(simulator.now))
+            assert simulator.pending_count == len(arrivals)
+            simulator.run()
+            assert landed == sorted(start + delay for delay in arrivals)
+        assert channel.sent == 300
+        assert channel.dropped > 0 and channel.duplicated > 0
+
+    def test_planned_draws_match_plain_send(self):
+        """Planning changes no stream's draws, and plain sends still work."""
+
+        def run(planned):
+            simulator = Simulator()
+            factory = StreamFactory(9)
+            channel = impaired_channel(simulator, factory)
+            times = []
+            for i in range(400):
+                delay = 0.001 * (1 + i % 5)
+                # Every third send is a plain one, as a TEAR sweep makes.
+                if planned and i % 3:
+                    channel.plan(delay)
+                channel.send(delay, lambda i=i: times.append((simulator.now, i)))
+            simulator.run()
+            state = [
+                (stream.draws, stream.uniform())
+                for stream in map(factory.stream, IMPAIRMENT_STREAMS)
+            ]
+            counters = (channel.sent, channel.dropped, channel.duplicated)
+            return times, state, counters
+
+        assert run(planned=True) == run(planned=False)
+
+    def test_perfect_channel_plans_one_copy(self, simulator):
+        channel = SignalingChannel(simulator)
+        assert channel.plan(0.25) == (0.25,)
+        channel.send(0.25, lambda: None)
+        assert simulator.pending_count == 1
+        assert channel.sent == 1
 
 
 class TestRetransmitPolicy:

@@ -23,24 +23,28 @@ def network():
     return line(4, capacity_bps=64_000.0, propagation_delay_s=0.001)
 
 
-class ScriptedChannel:
-    """Drops the transmissions whose 0-based index is scripted."""
+class ScriptedChannel(SignalingChannel):
+    """Drops the transmissions whose 0-based index is scripted.
+
+    The loss rate only marks the channel lossy (which forces the
+    retransmit-policy requirement); the fate of each transmission comes
+    from the script, and the loss stream is never drawn.
+    """
 
     def __init__(self, simulator, drop_indices=()):
-        self._simulator = simulator
+        super().__init__(
+            simulator, loss_rate=0.5, loss_rng=StreamFactory(0).stream("unused")
+        )
         self._drop = set(drop_indices)
-        self.loss_rate = 0.5  # forces the retransmit-policy requirement
-        self.duplicate_rate = 0.0
-        self.sent = 0
-        self.dropped = 0
+        self._fates = 0
 
-    def send(self, delay_s, deliver):
-        index = self.sent
-        self.sent += 1
+    def _draw_fate(self, delay_s):
+        index = self._fates
+        self._fates += 1
         if index in self._drop:
             self.dropped += 1
-            return
-        self._simulator.schedule(delay_s, deliver)
+            return ()
+        return (delay_s,)
 
 
 def policy(max_retransmits=3):
@@ -190,20 +194,101 @@ class TestGiveUp:
         assert leases.reclaimed_bps == pytest.approx(64_000.0)
 
 
+class TestLazyTimer:
+    """A hop's timer is scheduled only when no copy beats it."""
+
+    def counting_schedules(self, simulator):
+        calls = []
+        schedule = simulator.schedule
+
+        def counted(delay, callback):
+            calls.append(callback)
+            return schedule(delay, callback)
+
+        simulator.schedule = counted
+        return calls
+
+    def test_hop_delivered_in_time_leaves_no_timer(self, simulator, network):
+        calls = self.counting_schedules(simulator)
+        outcomes = []
+        RsvpSession(
+            simulator,
+            network,
+            ROUTE,
+            "f1",
+            64_000.0,
+            outcomes.append,
+            retransmit=policy(),
+        ).start()
+        assert simulator.pending_count == 1  # the PATH copy, no timer
+        simulator.run()
+        assert outcomes[0].success
+        # One schedule per message: 3 PATH + 3 RESV hops.
+        assert len(calls) == 6
+        assert simulator.events_executed == 6
+
+    def test_lost_copy_arms_the_timer(self, simulator, network):
+        channel = ScriptedChannel(simulator, drop_indices={0})
+        calls = self.counting_schedules(simulator)
+        RsvpSession(
+            simulator,
+            network,
+            ROUTE,
+            "f1",
+            64_000.0,
+            lambda o: None,
+            channel=channel,
+            retransmit=policy(),
+        ).start()
+        # Only the timer is pending: the sole copy was dropped.
+        assert simulator.pending_count == 1
+        assert len(calls) == 1
+        assert simulator.peek() == pytest.approx(0.05)
+
+    def test_timer_wins_an_exact_tie(self, simulator):
+        # Every hop takes exactly one timeout: each timer fires at the
+        # instant its copy lands, and because it was scheduled first it
+        # fires first, so every hop is retransmitted once.
+        network = line(4, capacity_bps=64_000.0, propagation_delay_s=0.0625)
+        outcomes = []
+        RsvpSession(
+            simulator,
+            network,
+            ROUTE,
+            "f1",
+            64_000.0,
+            outcomes.append,
+            processing_delay_s=0.0,
+            retransmit=RetransmitPolicy(
+                ExponentialBackoff(0.0625, factor=1.0), max_retransmits=3
+            ),
+        ).start()
+        simulator.run()
+        (outcome,) = outcomes
+        assert outcome.success
+        assert outcome.messages == 12
+        assert outcome.retransmissions == 6
+        # Per hop: the timer, the copy, and the retransmitted copy.
+        assert simulator.events_executed == 18
+        assert outcome.latency_s == 6 * 0.0625
+
+
 class TestDeduplication:
-    class DuplicatingChannel:
+    class DuplicatingChannel(SignalingChannel):
         """Delivers every transmission twice, back to back."""
 
         def __init__(self, simulator):
-            self._simulator = simulator
-            self.loss_rate = 0.0
-            self.duplicate_rate = 0.5  # forces the retransmit requirement
-            self.sent = 0
+            # The rate forces the retransmit requirement; the stream is
+            # never drawn.
+            super().__init__(
+                simulator,
+                duplicate_rate=0.5,
+                duplicate_rng=StreamFactory(0).stream("unused"),
+            )
 
-        def send(self, delay_s, deliver):
-            self.sent += 1
-            self._simulator.schedule(delay_s, deliver)
-            self._simulator.schedule(delay_s, deliver)
+        def _draw_fate(self, delay_s):
+            self.duplicated += 1
+            return (delay_s, delay_s)
 
     def test_duplicates_do_not_double_reserve(self, simulator, network):
         channel = self.DuplicatingChannel(simulator)

@@ -130,6 +130,21 @@ class TestFailedReservation:
         with pytest.raises(ValueError):
             RsvpSession(simulator, network, ROUTE, "f1", math.nan, lambda o: None)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -0.001])
+    def test_bad_processing_delay_rejected(self, simulator, network, delay):
+        with pytest.raises(ValueError):
+            RsvpSession(
+                simulator,
+                network,
+                ROUTE,
+                "f1",
+                64_000.0,
+                lambda o: None,
+                processing_delay_s=delay,
+            )
+        with pytest.raises(ValueError):
+            SignalledReservationEngine(simulator, network, processing_delay_s=delay)
+
 
 class TestSignalledEngine:
     def test_counters_accumulate(self, simulator, network):
