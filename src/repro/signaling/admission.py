@@ -5,11 +5,14 @@ reservation engine is atomic — the abstraction the paper's simulation
 uses.  :class:`SignalledACRouter` is an ``ACRouter`` that runs the
 *same* Figure 1 loop body on top of
 :class:`repro.signaling.rsvp.SignalledReservationEngine`, where every
-attempt costs a PATH/RESV round trip of simulated time: each attempt's
-outcome arrives through an engine callback, which feeds it to the
+attempt costs a PATH/RESV round trip of simulated time.  Each
+decision is one slotted :class:`_SignalledDecision` whose bound
+``concluded`` is the engine callback: it feeds each outcome to the
 shared body and either launches the next attempt or delivers the
-decision.  That yields the quantities the paper's overhead discussion
-appeals to but never measures directly:
+decision.  A decision holds no reference cycle (closures calling each
+other would leave one per decision for the cyclic GC), so reference
+counting frees it once it concludes.  That yields the quantities the
+paper's overhead discussion appeals to but never measures directly:
 
 * **admission latency** — arrival to final decision, growing with each
   retrial by a full signalling round trip;
@@ -111,44 +114,7 @@ class SignalledACRouter(ACRouter):
         on_decision: Callable[[SignalledAdmissionResult], None],
     ) -> None:
         """Start the DAC loop; ``on_decision`` fires when it concludes."""
-        decision = self._open(request)
-        engine = self.reservation
-        simulator = engine.simulator
-        started_at = simulator.now
-        messages = 0
-        key: Hashable = None
-
-        def attempt() -> None:
-            nonlocal key
-            route = self._select(decision)
-            key = (request.flow_id, len(decision.tried))
-            engine.reserve(
-                route,
-                key,
-                request.bandwidth_bps,
-                lambda outcome: conclude(route, outcome),
-            )
-
-        def conclude(route: Route, outcome: ReservationOutcome) -> None:
-            nonlocal messages
-            messages += outcome.messages
-            now = simulator.now
-            result = self._conclude(decision, route, outcome.success, now)
-            if result is None:
-                attempt()
-                return
-            if result.admitted:
-                self._reservation_keys[request.flow_id] = key
-            on_decision(
-                SignalledAdmissionResult(
-                    result=result,
-                    latency_s=now - started_at,
-                    messages=messages,
-                    reservation_key=key if result.admitted else None,
-                )
-            )
-
-        attempt()
+        _SignalledDecision(self, request, on_decision).reserve_next()
 
     def release(self, flow: AdmittedFlow) -> None:
         """Tear down an admitted flow by a TEAR sweep (idempotent)."""
@@ -157,3 +123,70 @@ class SignalledACRouter(ACRouter):
         key = self._reservation_keys.pop(flow.flow_id)
         self.reservation.release(flow.path, key)
         flow.released = True
+
+
+class _SignalledDecision:
+    """One request's Figure 1 loop, driven by reservation outcomes.
+
+    :meth:`reserve_next` draws a destination and launches its attempt
+    with the bound :meth:`concluded` as the engine callback, which
+    either launches the next attempt or delivers the decision.  Nothing
+    this object holds refers back to it, so reference counting frees
+    the whole decision as soon as the last attempt's session is done.
+    """
+
+    __slots__ = (
+        "_router",
+        "_decision",
+        "_on_decision",
+        "_started_at",
+        "_messages",
+        "_key",
+        "_route",
+    )
+
+    def __init__(
+        self,
+        router: SignalledACRouter,
+        request: FlowRequest,
+        on_decision: Callable[[SignalledAdmissionResult], None],
+    ) -> None:
+        self._router = router
+        self._decision = router._open(request)
+        self._on_decision = on_decision
+        self._started_at = router.reservation.simulator.now
+        self._messages = 0
+        self._key: Hashable = None
+        self._route: Optional[Route] = None
+
+    def reserve_next(self) -> None:
+        """Draw the next destination and launch its reservation attempt."""
+        router = self._router
+        decision = self._decision
+        request = decision.request
+        route = self._route = router._select(decision)
+        key = self._key = (request.flow_id, len(decision.tried))
+        router.reservation.reserve(route, key, request.bandwidth_bps, self.concluded)
+
+    def concluded(self, outcome: ReservationOutcome) -> None:
+        """Feed one attempt's outcome to the loop body."""
+        self._messages += outcome.messages
+        router = self._router
+        now = router.reservation.simulator.now
+        route = self._route
+        assert route is not None  # set by the attempt that concluded
+        result = router._conclude(self._decision, route, outcome.success, now)
+        if result is None:
+            self.reserve_next()
+            return
+        key = self._key
+        if result.admitted:
+            router._reservation_keys[self._decision.request.flow_id] = key
+        self._on_decision(
+            SignalledAdmissionResult(
+                result=result,
+                latency_s=now - self._started_at,
+                messages=self._messages,
+                reservation_key=key if result.admitted else None,
+            )
+        )

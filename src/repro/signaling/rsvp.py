@@ -243,6 +243,9 @@ class _Transfer:
         self._done = True
         timer = self._timer
         if timer is not None:
+            # The timer's callback is our own timed_out: drop it first,
+            # or the pair is a cycle only the cyclic GC can free.
+            self._timer = None
             timer.cancel()
         if self._resv:
             self._session._advance_resv(self._node - 1, self._bottleneck)
