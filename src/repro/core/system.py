@@ -5,7 +5,9 @@ the destination-selection algorithm and ``R`` the retrial limit, e.g.
 ``<ED, 2>``.  :class:`SystemSpec` captures that naming (plus the
 baselines, which take no ``R``) and :func:`build_system` wires up a
 ready-to-run :class:`AdmissionSystem`: one AC-router per source for
-the distributed systems, or a single global controller for GDI.
+the distributed systems, or a single global controller for GDI.  It
+is the one place routers are built, whichever reservation engine they
+share: atomic, fault-aware or signalled.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
 
 from repro.baselines.gdi import GDIController
-from repro.core.admission import ACRouter, AdmissionResult
+from repro.core.admission import ACRouter, AdmissionResult, ReservationEngine
 from repro.core.reservation import AtomicReservationEngine
 from repro.core.retrial import CounterRetrialPolicy
 from repro.core.selection import (
@@ -31,6 +33,8 @@ from repro.flows.flow import AdmittedFlow, FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.network.routing import RouteTable
 from repro.network.topology import Network
+from repro.signaling.admission import SignalledACRouter
+from repro.signaling.rsvp import SignalledReservationEngine
 from repro.sim.random_streams import StreamFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -199,8 +203,6 @@ def build_selector(
 
     Explicit dispatch (rather than a class registry) so each
     constructor is called with exactly the arguments it accepts.
-    Shared by :func:`build_system` and the signalled/chaos harnesses,
-    which assemble their routers around different reservation engines.
     """
     if spec.algorithm == "ED":
         return EvenDistribution(context)
@@ -224,6 +226,7 @@ def build_system(
     group: AnycastGroup,
     streams: StreamFactory,
     clock: Optional[Callable[[], float]] = None,
+    reservation: "ReservationEngine | SignalledReservationEngine | None" = None,
 ) -> AdmissionSystem:
     """Instantiate the system ``spec`` over ``network``.
 
@@ -247,6 +250,12 @@ def build_system(
         Simulated-time source; required only when
         ``spec.bandwidth_refresh_s > 0`` (the stale-snapshot ablation
         of WD/D+B needs to know when to refresh).
+    reservation:
+        The engine every AC-router shares (default: a fresh
+        :class:`AtomicReservationEngine` on ``network``).  A
+        :class:`SignalledReservationEngine` gets signalled routers
+        (:class:`SignalledACRouter`), which decide through callbacks.
+        GDI ignores it.
     """
     if spec.algorithm == "GDI":
         controller = GDIController(network, group)
@@ -267,20 +276,24 @@ def build_system(
             network, clock, spec.bandwidth_refresh_s
         )
 
-    reservation = AtomicReservationEngine(network)
+    if reservation is None:
+        reservation = AtomicReservationEngine(network)
     controllers: dict[NodeId, ACRouter] = {}
     for source in sources:
         routes = RouteTable(network, source, group.members)
         context = SelectionContext(network=network, routes=routes, group=group)
-        selector = build_selector(spec, context, bandwidth_view)
-        controllers[source] = ACRouter(
-            network=network,
-            source=source,
-            group=group,
-            selector=selector,
-            retrial_policy=CounterRetrialPolicy(spec.effective_retrials),
-            rng=streams.stream(f"select.{source}"),
-            reservation=reservation,
-            resample_failed=spec.resample_failed,
+        args = (
+            network,
+            source,
+            group,
+            build_selector(spec, context, bandwidth_view),
+            CounterRetrialPolicy(spec.effective_retrials),
+            streams.stream(f"select.{source}"),
         )
+        if isinstance(reservation, SignalledReservationEngine):
+            controllers[source] = SignalledACRouter(
+                *args, reservation, spec.resample_failed
+            )
+        else:
+            controllers[source] = ACRouter(*args, reservation, spec.resample_failed)
     return AdmissionSystem(spec, network, group, controllers)

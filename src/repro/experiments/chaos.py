@@ -10,6 +10,11 @@ and reservations are soft state — leases refreshed by their owners,
 with a garbage collector reclaiming the orphans left by lost
 ``Resv``/``Tear`` messages.
 
+The model is the signalled plane of the one simulation driver,
+:class:`repro.sim.simulation.AnycastSimulation` with ``chaos=...``
+(:class:`ChaosConfig` and :class:`ChaosResult` are re-exported from
+there); :class:`ChaosSimulation` only shortens its default windows.
+
 :func:`chaos_sweep` runs one system across a grid of loss rates;
 :func:`chaos_figure` produces the paper-style summary (blocking
 probability and mean signalled admission latency versus loss rate for
@@ -27,32 +32,26 @@ sequence of a perfectly reliable plane.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Optional
+from dataclasses import replace
+from typing import Callable, Optional
 
-from repro import invariants as _invariants
-from repro.core.retrial import CounterRetrialPolicy, ExponentialBackoff
-from repro.core.selection import SelectionContext
-from repro.core.system import SystemSpec, build_selector
+from repro.core.system import SystemSpec
 from repro.experiments.config import ExperimentConfig, quick_config
 from repro.experiments.figures import FigureResult
-from repro.flows.flow import AdmittedFlow, FlowRequest
-from repro.flows.traffic import TrafficModel, WorkloadSpec
-from repro.network.routing import RouteTable
+from repro.flows.traffic import WorkloadSpec
 from repro.network.topology import Network
-from repro.signaling.admission import SignalledACRouter, SignalledAdmissionResult
-from repro.signaling.channel import RetransmitPolicy, SignalingChannel
-from repro.signaling.rsvp import (
-    DEFAULT_PROCESSING_DELAY_S,
-    SignalledReservationEngine,
-)
-from repro.signaling.softstate import LeaseTable
-from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsCollector
-from repro.sim.random_streams import StreamFactory
+from repro.sim.simulation import AnycastSimulation, ChaosConfig, ChaosResult
 
-NodeId = Hashable
+__all__ = [
+    "CHAOS_SPECS",
+    "DEFAULT_LOSS_RATES",
+    "ChaosConfig",
+    "ChaosResult",
+    "ChaosSimulation",
+    "chaos_figure",
+    "chaos_sweep",
+    "run_chaos_point",
+]
 
 #: Loss rates swept by the default chaos figure.
 DEFAULT_LOSS_RATES: tuple[float, ...] = (0.0, 0.02, 0.05, 0.1, 0.2)
@@ -65,110 +64,14 @@ CHAOS_SPECS: tuple[SystemSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Knobs of the unreliable signalling plane.
+class ChaosSimulation(AnycastSimulation):
+    """One run of :class:`AnycastSimulation` on its signalled plane.
 
-    Attributes
-    ----------
-    loss_rate, extra_delay_s, duplicate_rate:
-        Channel impairments (see :class:`SignalingChannel`).
-    initial_timeout_s, backoff_factor, max_timeout_s, timeout_jitter:
-        The per-hop retransmission timeout schedule (see
-        :class:`repro.core.retrial.ExponentialBackoff`).
-    max_retransmits:
-        Retransmissions per hop transfer before the sender gives up.
-    lease_ttl_s:
-        Soft-state lease lifetime; an unrefreshed reservation is
-        collectable this long after its last refresh.
-    refresh_interval_s:
-        How often an admitted flow's source refreshes its lease.
-    gc_interval_s:
-        Period of the orphan-collection sweep.
-    processing_delay_s:
-        Per-hop message processing time.
-    """
-
-    loss_rate: float = 0.0
-    extra_delay_s: float = 0.0
-    duplicate_rate: float = 0.0
-    initial_timeout_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_timeout_s: float = 1.0
-    timeout_jitter: float = 0.1
-    max_retransmits: int = 4
-    lease_ttl_s: float = 60.0
-    refresh_interval_s: float = 20.0
-    gc_interval_s: float = 10.0
-    processing_delay_s: float = DEFAULT_PROCESSING_DELAY_S
-
-    def __post_init__(self) -> None:
-        for name in ("lease_ttl_s", "refresh_interval_s", "gc_interval_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"loss rate must be in [0, 1), got {self.loss_rate}")
-        if self.refresh_interval_s <= 0 or self.refresh_interval_s >= self.lease_ttl_s:
-            raise ValueError(
-                "refresh interval must be positive and below the lease TTL "
-                f"(got {self.refresh_interval_s} vs TTL {self.lease_ttl_s})"
-            )
-
-
-@dataclass(frozen=True)
-class ChaosResult:
-    """Summary of one chaos run.
-
-    ``leaked_bps`` is the bandwidth still reserved after the run
-    drained its calendar — the soft-state contract makes this zero,
-    and the integration tests assert it at every loss rate.
-    """
-
-    system_label: str
-    loss_rate: float
-    arrival_rate: float
-    requests: int
-    admitted: int
-    admission_probability: float
-    mean_attempts: float
-    mean_admission_latency_s: float
-    signaling_messages: int
-    retransmissions: int
-    tear_messages: int
-    refresh_messages: int
-    timeouts: int
-    channel_sent: int
-    channel_dropped: int
-    channel_duplicated: int
-    orphans_collected: int
-    reclaimed_bps: float
-    leaked_bps: float
-
-    @property
-    def blocking_probability(self) -> float:
-        """1 - AP, the paper-style degradation metric."""
-        return 1.0 - self.admission_probability
-
-    @property
-    def messages_per_admitted(self) -> float:
-        """Control-plane messages (incl. refreshes) per admitted flow."""
-        if self.admitted == 0:
-            return 0.0
-        return (self.signaling_messages + self.refresh_messages) / self.admitted
-
-
-class ChaosSimulation:
-    """One run of the admission model over an unreliable plane.
-
-    The signalled twin of
-    :class:`repro.sim.simulation.AnycastSimulation`: the same Poisson
-    arrival / exponential lifetime dynamics, but every admission runs
-    the full PATH/RESV exchange through the impaired channel, admitted
-    flows refresh their leases, and departures tear down through the
-    same lossy channel.  Only distributed systems are supported (GDI
-    has no signalling plane to impair), and only with always-fresh
-    bandwidth views (``bandwidth_refresh_s`` must be 0).
+    Every admission runs the full PATH/RESV exchange through the
+    impaired channel, admitted flows refresh their leases, and
+    departures tear down through the same lossy channel.  Only the
+    default windows (200 s warm-up, 800 s measured) differ from the
+    driver's.
     """
 
     def __init__(
@@ -182,211 +85,15 @@ class ChaosSimulation:
         seed: int = 0,
         batch_size: int = 200,
     ) -> None:
-        # Written so that NaN fails: an unbounded or NaN window would
-        # never let the event loop reach its horizon.
-        if not (0.0 <= warmup_s < math.inf and 0.0 < measure_s < math.inf):
-            raise ValueError(
-                "need finite warmup >= 0 and measure > 0, "
-                f"got {warmup_s}, {measure_s}"
-            )
-        if not system_spec.is_distributed:
-            raise ValueError("chaos scenario needs a distributed system (not GDI)")
-        if system_spec.bandwidth_refresh_s > 0:
-            raise ValueError(
-                "chaos scenario has no stale-snapshot bandwidth view; "
-                f"got bandwidth_refresh_s={system_spec.bandwidth_refresh_s}"
-            )
-        self.network = network_factory()
-        self.system_spec = system_spec
-        self.workload = workload
-        self.chaos = chaos
-        self.warmup_s = warmup_s
-        self.measure_s = measure_s
-        self.horizon_s = warmup_s + measure_s
-        self.seed = seed
-        self.streams = StreamFactory(seed)
-        self.simulator = Simulator()
-        self.channel = SignalingChannel(
-            self.simulator,
-            loss_rate=chaos.loss_rate,
-            extra_delay_s=chaos.extra_delay_s,
-            duplicate_rate=chaos.duplicate_rate,
-            loss_rng=self.streams.stream("signaling.loss"),
-            delay_rng=self.streams.stream("signaling.delay"),
-            duplicate_rng=self.streams.stream("signaling.duplicate"),
-        )
-        backoff = ExponentialBackoff(
-            chaos.initial_timeout_s,
-            factor=chaos.backoff_factor,
-            max_timeout_s=chaos.max_timeout_s,
-            jitter=chaos.timeout_jitter,
-            rng=(
-                self.streams.stream("signaling.backoff")
-                if chaos.timeout_jitter > 0
-                else None
-            ),
-        )
-        self.leases = LeaseTable(
-            self.simulator,
-            self.network,
-            ttl_s=chaos.lease_ttl_s,
-            sweep_interval_s=chaos.gc_interval_s,
-        )
-        self.engine = SignalledReservationEngine(
-            self.simulator,
-            self.network,
-            processing_delay_s=chaos.processing_delay_s,
-            channel=self.channel,
-            retransmit=RetransmitPolicy(backoff, chaos.max_retransmits),
-            leases=self.leases,
-        )
-        self.routers: dict[NodeId, SignalledACRouter] = {}
-        for source in workload.sources:
-            routes = RouteTable(self.network, source, workload.group.members)
-            context = SelectionContext(
-                network=self.network, routes=routes, group=workload.group
-            )
-            self.routers[source] = SignalledACRouter(
-                self.network,
-                source,
-                workload.group,
-                build_selector(system_spec, context),
-                CounterRetrialPolicy(system_spec.effective_retrials),
-                rng=self.streams.stream(f"select.{source}"),
-                engine=self.engine,
-                resample_failed=system_spec.resample_failed,
-            )
-        self.traffic = TrafficModel(workload, self.streams)
-        self.metrics = MetricsCollector(
-            clock=lambda: self.simulator.now, batch_size=batch_size
-        )
-        self._decision_latency_total = 0.0
-        self._decisions_in_window = 0
-        self.refresh_messages = 0
-        self._ran = False
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-    def _schedule_next_arrival(self) -> None:
-        request = self.traffic.next_request()
-        if request.arrival_time > self.horizon_s:
-            return
-        self.simulator.schedule_at(
-            request.arrival_time, lambda: self._handle_arrival(request)
-        )
-
-    def _handle_arrival(self, request: FlowRequest) -> None:
-        self._schedule_next_arrival()
-        router = self.routers[request.source]
-        router.admit(
-            request, lambda decision: self._handle_decision(request, decision)
-        )
-
-    def _handle_decision(
-        self, request: FlowRequest, decision: SignalledAdmissionResult
-    ) -> None:
-        if request.arrival_time >= self.warmup_s:
-            self.metrics.record_decision(decision.result)
-            self._decision_latency_total += decision.latency_s
-            self._decisions_in_window += 1
-        if decision.admitted:
-            flow = decision.result.flow
-            assert flow is not None  # admitted implies a granted flow
-            self.metrics.record_flow_start()
-            key = decision.reservation_key
-            departure = self.simulator.schedule(
-                request.lifetime_s,
-                lambda: self._handle_departure(flow, key, refreshes),
-            )
-            # Bound here, long before the departure reads it.
-            refreshes = self._hold_lease(key, departure.time)
-
-    def _hold_lease(self, key: Hashable, departure_at: float) -> int:
-        """Hold ``key``'s lease for its flow's refreshes; return their count.
-
-        The source refreshes every ``refresh_interval_s`` from admission
-        on.  Refreshes are modelled as reliable (their Path/Resv pair is
-        charged to the message totals but not dropped) and draw no
-        random numbers, so the admission time, the interval and the
-        departure fix the whole chain.  The tick times accumulate as
-        repeated ``schedule(interval)`` calls would place them, and a
-        departure at the same instant as a tick wins the tie (it is the
-        earlier-scheduled event), so only ticks strictly before it
-        refresh.
-        """
-        interval = float(self.chaos.refresh_interval_s)
-        first = last = self.simulator.now + interval
-        if first >= departure_at:
-            return 0
-        refreshes = 1
-        while last + interval < departure_at:
-            last += interval
-            refreshes += 1
-        self.leases.hold(key, first, last)
-        return refreshes
-
-    def _handle_departure(
-        self, flow: AdmittedFlow, key: Hashable, refreshes: int
-    ) -> None:
-        # A lease collected before the first refresh (signalling slower
-        # than TTL - interval) was never refreshed: its owner found it
-        # gone and stopped.  A lease alive at the first refresh lives on.
-        if refreshes and key in self.leases:
-            self.refresh_messages += 2 * refreshes * max(0, len(flow.path) - 1)
-        router = self.routers[flow.request.source]
-        router.release(flow)
-        self.metrics.record_flow_end()
-
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
-    def run(self) -> ChaosResult:
-        """Execute the run, drain the calendar, and summarize.
-
-        A simulation object is single-use; build a new one per run.
-        """
-        if self._ran:
-            raise RuntimeError("ChaosSimulation objects are single-use")
-        self._ran = True
-        self.simulator.schedule_at(self.warmup_s, self.metrics.active_flows.reset)
-        self._schedule_next_arrival()
-        self.simulator.run(until=self.horizon_s)
-        # Drain: arrivals have stopped; in-flight admissions decide,
-        # departures tear down (lost TEARs strand orphans), leases
-        # expire and the collector self-quiesces, so the unbounded run
-        # terminates with an empty calendar.
-        self.simulator.run()
-        leaked = self.network.total_reserved_bps()
-        if _invariants.enabled:
-            _invariants.check_network(self.network)
-            _invariants.check_soft_state(self.network, self.leases)
-            _invariants.check_drained(self.network)
-        mean_latency = (
-            self._decision_latency_total / self._decisions_in_window
-            if self._decisions_in_window
-            else 0.0
-        )
-        return ChaosResult(
-            system_label=self.system_spec.label,
-            loss_rate=self.chaos.loss_rate,
-            arrival_rate=self.workload.arrival_rate,
-            requests=self.metrics.requests,
-            admitted=self.metrics.admitted,
-            admission_probability=self.metrics.admission_probability,
-            mean_attempts=self.metrics.mean_attempts,
-            mean_admission_latency_s=mean_latency,
-            signaling_messages=self.engine.total_messages,
-            retransmissions=self.engine.total_retransmissions,
-            tear_messages=self.engine.tear_messages,
-            refresh_messages=self.refresh_messages,
-            timeouts=self.engine.timeouts,
-            channel_sent=self.channel.sent,
-            channel_dropped=self.channel.dropped,
-            channel_duplicated=self.channel.duplicated,
-            orphans_collected=self.leases.orphans_collected,
-            reclaimed_bps=self.leases.reclaimed_bps,
-            leaked_bps=leaked,
+        super().__init__(
+            network_factory,
+            system_spec,
+            workload,
+            warmup_s=warmup_s,
+            measure_s=measure_s,
+            seed=seed,
+            batch_size=batch_size,
+            chaos=chaos,
         )
 
 
@@ -397,7 +104,7 @@ def run_chaos_point(
     chaos: ChaosConfig,
 ) -> ChaosResult:
     """One system at one arrival rate under one impairment setting."""
-    simulation = ChaosSimulation(
+    result = ChaosSimulation(
         network_factory=config.network_factory(),
         system_spec=spec,
         workload=config.workload(arrival_rate),
@@ -405,8 +112,9 @@ def run_chaos_point(
         warmup_s=config.warmup_s,
         measure_s=config.measure_s,
         seed=config.seed,
-    )
-    return simulation.run()
+    ).run()
+    assert isinstance(result, ChaosResult)  # chaos: the signalled plane
+    return result
 
 
 def chaos_sweep(

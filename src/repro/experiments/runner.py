@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from repro.core.system import SystemSpec
 from repro.experiments.config import ExperimentConfig
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulation import AnycastSimulation
+from repro.sim.simulation import run_simulation
 from repro.sim.stats import confidence_interval
 
 
@@ -91,7 +91,7 @@ def run_replication(
     network, system and streams), which is what lets the parallel
     runner execute them in worker processes with identical results.
     """
-    simulation = AnycastSimulation(
+    return run_simulation(
         network_factory=config.network_factory(),
         system_spec=spec,
         workload=config.workload(arrival_rate),
@@ -99,7 +99,6 @@ def run_replication(
         measure_s=config.measure_s,
         seed=config.seed + replication,
     )
-    return simulation.run()
 
 
 def aggregate_point(

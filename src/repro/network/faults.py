@@ -25,6 +25,7 @@ DAC procedure absorbs faults without new machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +46,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 NodeId = Hashable
 FlowId = Hashable
 LinkKey = tuple[NodeId, NodeId]
+
+
+def check_fault_means(
+    mean_time_to_failure_s: float, mean_time_to_repair_s: float
+) -> None:
+    """Raise ``ValueError`` unless both means are positive and finite.
+
+    Written so that NaN fails: it passes a sign check, then breaks a run.
+    """
+    if not (
+        0.0 < mean_time_to_failure_s < math.inf
+        and 0.0 < mean_time_to_repair_s < math.inf
+    ):
+        raise ValueError(
+            "failure and repair means must be positive and finite, got "
+            f"{mean_time_to_failure_s}, {mean_time_to_repair_s}"
+        )
 
 
 @dataclass
@@ -189,7 +207,8 @@ class FaultInjector:
     mean_time_to_failure_s / mean_time_to_repair_s:
         Exponential means of the up and down periods.
     cables:
-        The cables subject to faults (defaults to every cable).
+        The cables subject to faults (defaults to every cable); each
+        must be a link of the network.
     on_fail:
         Callback ``(cable, killed_flow_ids)`` invoked at each failure
         so the owning simulation can finish tearing down killed flows.
@@ -205,8 +224,7 @@ class FaultInjector:
         cables: Optional[Iterable[LinkKey]] = None,
         on_fail: Optional[Callable[[LinkKey, list[FlowId]], None]] = None,
     ) -> None:
-        if mean_time_to_failure_s <= 0 or mean_time_to_repair_s <= 0:
-            raise ValueError("failure and repair means must be positive")
+        check_fault_means(mean_time_to_failure_s, mean_time_to_repair_s)
         self.simulator = simulator
         self.faults = faults
         self.rng = rng
@@ -222,6 +240,9 @@ class FaultInjector:
                     seen.add(cable)
                     cables.append((link.source, link.target))
         self.cables = list(cables)
+        for u, v in self.cables:
+            if not faults.network.has_link(u, v):
+                raise ValueError(f"no cable between {u!r} and {v!r}")
         self.failures_injected = 0
         self._stopped = False
         # Each cable has at most one timer armed at a time (the next

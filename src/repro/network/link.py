@@ -80,12 +80,6 @@ class LinkStateArrays:
         """Available bandwidth of the link with id ``index``."""
         return self.capacity[index] - self.reserved[index]
 
-    def available_snapshot(self) -> "array[float]":
-        """A fresh ``array('d')`` of every link's available bandwidth."""
-        capacity = self.capacity
-        reserved = self.reserved
-        return array("d", (capacity[i] - reserved[i] for i in range(len(capacity))))
-
 
 class Link:
     """A directed link from ``source`` to ``target``.

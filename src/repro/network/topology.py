@@ -43,7 +43,6 @@ class Network:
         #: Columnar bandwidth accounting shared by every link; link
         #: ids are dense indices in construction order.
         self.link_state = LinkStateArrays()
-        self._links_by_index: list[Link] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -88,7 +87,6 @@ class Network:
                 u, v, capacity_bps, propagation_delay_s, state=self.link_state
             )
             self._links[(u, v)] = link
-            self._links_by_index.append(link)
             self._adjacency[u].append(v)
 
     # ------------------------------------------------------------------
@@ -133,10 +131,6 @@ class Network:
     def links(self) -> Iterator[Link]:
         """Iterate over all directed links."""
         return iter(self._links.values())
-
-    def link_by_index(self, index: int) -> Link:
-        """The link whose dense id in :attr:`link_state` is ``index``."""
-        return self._links_by_index[index]
 
     def neighbors(self, node: NodeId) -> Sequence[NodeId]:
         """Out-neighbors of ``node`` in insertion order."""

@@ -10,33 +10,17 @@ the very trade-off retrial control balances.
 This subpackage implements a small message-level model so reservation
 latency and message counts can be measured:
 
-* :mod:`repro.signaling.messages` -- PATH / RESV / PATH_ERR / TEAR
-  message types.
 * :mod:`repro.signaling.rsvp` -- a hop-by-hop signalling session that
   runs on the discrete-event engine with per-link propagation delays.
 """
 
 from repro.signaling.admission import SignalledACRouter, SignalledAdmissionResult
-from repro.signaling.messages import (
-    MessageType,
-    PathErrMessage,
-    PathMessage,
-    ResvMessage,
-    SignallingMessage,
-    TearMessage,
-)
 from repro.signaling.rsvp import ReservationOutcome, RsvpSession, SignalledReservationEngine
 
 __all__ = [
-    "MessageType",
-    "PathErrMessage",
-    "PathMessage",
     "ReservationOutcome",
-    "ResvMessage",
     "RsvpSession",
     "SignalledACRouter",
     "SignalledAdmissionResult",
     "SignalledReservationEngine",
-    "SignallingMessage",
-    "TearMessage",
 ]

@@ -166,10 +166,6 @@ class LeaseTable:
         if not lease.links:
             del self._entries[key]
 
-    def revoke(self, key: LeaseKey) -> None:
-        """Forget ``key`` entirely without touching the links."""
-        self._entries.pop(key, None)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -10,6 +10,14 @@ The model is event-scheduled on :class:`repro.sim.engine.Simulator`
 with two event types — request arrival and flow departure — which is
 exactly the dynamics of a multi-service loss network.
 
+:class:`AnycastSimulation` is the only driver.  Its atomic plane (the
+default) reserves instantly, as the paper's simulation does, and can
+inject link faults.  Its signalled plane (``chaos=ChaosConfig(...)``)
+runs each admission as a PATH/RESV exchange over an impaired channel,
+holds reservations as soft-state leases and drains its calendar at the
+end (see :mod:`repro.experiments.chaos`).  Only arrival dispatch, lease
+upkeep and the summary differ between the planes.
+
 Example
 -------
 >>> from repro.network.topologies import mci_backbone, MCI_SOURCES, MCI_GROUP_MEMBERS
@@ -40,9 +48,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-NodeId = Hashable
-
-from repro.core.admission import ACRouter
+from repro import invariants as _invariants
+from repro.core.admission import AdmissionResult, ReservationEngine
+from repro.core.retrial import ExponentialBackoff
 from repro.core.system import AdmissionSystem, SystemSpec, build_system
 from repro.flows.flow import AdmittedFlow, FlowRequest
 from repro.flows.traffic import TrafficModel, WorkloadSpec
@@ -50,12 +58,22 @@ from repro.network.faults import (
     FaultAwareReservationEngine,
     FaultInjector,
     FaultState,
+    check_fault_means,
 )
 from repro.network.topology import Network
+from repro.signaling.admission import SignalledACRouter, SignalledAdmissionResult
+from repro.signaling.channel import RetransmitPolicy, SignalingChannel
+from repro.signaling.rsvp import (
+    DEFAULT_PROCESSING_DELAY_S,
+    SignalledReservationEngine,
+)
+from repro.signaling.softstate import LeaseTable
 from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.sim.random_streams import StreamFactory
 from repro.sim.trace import TraceRecorder
+
+NodeId = Hashable
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,93 @@ class FaultConfig:
     cables: Optional[tuple[tuple[NodeId, NodeId], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.mean_time_to_failure_s <= 0 or self.mean_time_to_repair_s <= 0:
-            raise ValueError("failure and repair means must be positive")
+        check_fault_means(self.mean_time_to_failure_s, self.mean_time_to_repair_s)
+
+
+@dataclass(frozen=True)
+class ChaosConfig:
+    """Knobs of the unreliable signalling plane.
+
+    Attributes
+    ----------
+    loss_rate, extra_delay_s, duplicate_rate:
+        Channel impairments (see :class:`SignalingChannel`).
+    initial_timeout_s, backoff_factor, max_timeout_s, timeout_jitter:
+        The per-hop retransmission timeout schedule (see
+        :class:`repro.core.retrial.ExponentialBackoff`).
+    max_retransmits:
+        Retransmissions per hop transfer before the sender gives up.
+    lease_ttl_s:
+        Soft-state lease lifetime; an unrefreshed reservation is
+        collectable this long after its last refresh.
+    refresh_interval_s:
+        How often an admitted flow's source refreshes its lease.
+    gc_interval_s:
+        Period of the orphan-collection sweep.
+    processing_delay_s:
+        Per-hop message processing time.
+    """
+
+    loss_rate: float = 0.0
+    extra_delay_s: float = 0.0
+    duplicate_rate: float = 0.0
+    initial_timeout_s: float = 0.05
+    backoff_factor: float = 2.0
+    max_timeout_s: float = 1.0
+    timeout_jitter: float = 0.1
+    max_retransmits: int = 4
+    lease_ttl_s: float = 60.0
+    refresh_interval_s: float = 20.0
+    gc_interval_s: float = 10.0
+    processing_delay_s: float = DEFAULT_PROCESSING_DELAY_S
+
+    def __post_init__(self) -> None:
+        for name in ("lease_ttl_s", "refresh_interval_s", "gc_interval_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss rate must be in [0, 1), got {self.loss_rate}")
+        if self.refresh_interval_s <= 0 or self.refresh_interval_s >= self.lease_ttl_s:
+            raise ValueError(
+                "refresh interval must be positive and below the lease TTL "
+                f"(got {self.refresh_interval_s} vs TTL {self.lease_ttl_s})"
+            )
+
+
+@dataclass(frozen=True)
+class ChaosResult:
+    """Summary of one chaos run.
+
+    ``leaked_bps`` is the bandwidth still reserved after the run
+    drained its calendar — the soft-state contract makes this zero,
+    and the integration tests assert it at every loss rate.
+    """
+
+    system_label: str
+    loss_rate: float
+    arrival_rate: float
+    requests: int
+    admitted: int
+    admission_probability: float
+    mean_attempts: float
+    mean_admission_latency_s: float
+    signaling_messages: int
+    retransmissions: int
+    tear_messages: int
+    refresh_messages: int
+    timeouts: int
+    channel_sent: int
+    channel_dropped: int
+    channel_duplicated: int
+    orphans_collected: int
+    reclaimed_bps: float
+    leaked_bps: float
+
+    @property
+    def blocking_probability(self) -> float:
+        """1 - AP, the paper-style degradation metric."""
+        return 1.0 - self.admission_probability
 
 
 class AnycastSimulation:
@@ -107,16 +210,23 @@ class AnycastSimulation:
         Length of the measurement window in simulated seconds.
     seed:
         Root seed; all streams (arrivals, lifetimes, source choice,
-        per-router selection dice) derive from it deterministically.
+        per-router selection dice, signalling impairments) derive from
+        it deterministically.
     batch_size:
         Batch size for the AP confidence interval.
     fault_config:
-        Optional random link fail/repair behaviour.  Supported for the
-        distributed systems; GDI's global path search would need
-        fault-aware routing, which is out of the paper's scope.
+        Optional random link fail/repair behaviour, on the atomic plane
+        only.  Supported for the distributed systems; GDI's global path
+        search would need fault-aware routing, which is out of the
+        paper's scope.
     trace:
         Optional :class:`repro.sim.trace.TraceRecorder` capturing a
         per-request record of every decision in the measurement window.
+    chaos:
+        Run on the signalled plane over a channel impaired as
+        configured.  Needs a distributed system with an always-fresh
+        bandwidth view (``bandwidth_refresh_s`` 0); :meth:`run` then
+        drains the calendar and returns a :class:`ChaosResult`.
     """
 
     def __init__(
@@ -130,6 +240,7 @@ class AnycastSimulation:
         batch_size: int = 200,
         fault_config: Optional[FaultConfig] = None,
         trace: Optional["TraceRecorder"] = None,
+        chaos: Optional[ChaosConfig] = None,
     ) -> None:
         # Written so that NaN fails: an unbounded or NaN window would
         # never let the event loop reach its horizon.
@@ -138,19 +249,77 @@ class AnycastSimulation:
                 "need finite warmup >= 0 and measure > 0, "
                 f"got {warmup_s}, {measure_s}"
             )
-        if fault_config is not None and system_spec.algorithm == "GDI":
+        if chaos is not None and fault_config is not None:
+            raise ValueError("fault injection needs the atomic plane, not chaos")
+        if not system_spec.is_distributed and (chaos or fault_config) is not None:
+            raise ValueError("faults and chaos need a distributed system (not GDI)")
+        if chaos is not None and system_spec.bandwidth_refresh_s > 0:
             raise ValueError(
-                "fault injection is supported for distributed systems only"
+                "chaos scenario has no stale-snapshot bandwidth view; "
+                f"got bandwidth_refresh_s={system_spec.bandwidth_refresh_s}"
             )
         self.network = network_factory()
         self.system_spec = system_spec
         self.workload = workload
+        self.chaos = chaos
         self.warmup_s = warmup_s
         self.measure_s = measure_s
         self.horizon_s = warmup_s + measure_s
         self.seed = seed
         self.streams = StreamFactory(seed)
         self.simulator = Simulator()
+        self.fault_state: Optional[FaultState] = None
+        self._fault_injector: Optional[FaultInjector] = None
+        # The engine every AC-router shares (None: a fresh atomic one).
+        reservation: "ReservationEngine | SignalledReservationEngine | None" = None
+        if chaos is not None:
+            self.channel = SignalingChannel(
+                self.simulator,
+                loss_rate=chaos.loss_rate,
+                extra_delay_s=chaos.extra_delay_s,
+                duplicate_rate=chaos.duplicate_rate,
+                loss_rng=self.streams.stream("signaling.loss"),
+                delay_rng=self.streams.stream("signaling.delay"),
+                duplicate_rng=self.streams.stream("signaling.duplicate"),
+            )
+            backoff = ExponentialBackoff(
+                chaos.initial_timeout_s,
+                factor=chaos.backoff_factor,
+                max_timeout_s=chaos.max_timeout_s,
+                jitter=chaos.timeout_jitter,
+                rng=(
+                    self.streams.stream("signaling.backoff")
+                    if chaos.timeout_jitter > 0
+                    else None
+                ),
+            )
+            self.leases = LeaseTable(
+                self.simulator,
+                self.network,
+                ttl_s=chaos.lease_ttl_s,
+                sweep_interval_s=chaos.gc_interval_s,
+            )
+            reservation = self.engine = SignalledReservationEngine(
+                self.simulator,
+                self.network,
+                processing_delay_s=chaos.processing_delay_s,
+                channel=self.channel,
+                retransmit=RetransmitPolicy(backoff, chaos.max_retransmits),
+                leases=self.leases,
+            )
+        elif fault_config is not None:
+            self.fault_state = fault_state = FaultState(self.network)
+            # Failed routes are refused like saturated ones.
+            reservation = FaultAwareReservationEngine(self.network, fault_state)
+            self._fault_injector = FaultInjector(
+                self.simulator,
+                fault_state,
+                self.streams.stream("faults"),
+                mean_time_to_failure_s=fault_config.mean_time_to_failure_s,
+                mean_time_to_repair_s=fault_config.mean_time_to_repair_s,
+                cables=fault_config.cables,
+                on_fail=self._handle_fault,
+            )
         self.system: AdmissionSystem = build_system(
             system_spec,
             self.network,
@@ -158,7 +327,16 @@ class AnycastSimulation:
             workload.group,
             self.streams,
             clock=lambda: self.simulator.now,
+            reservation=reservation,
         )
+        #: The signalled routers by source; ``None`` on the atomic plane.
+        self.routers: Optional[dict[NodeId, SignalledACRouter]] = None
+        if chaos is not None:
+            self.routers = {}
+            for source in workload.sources:
+                router = self.system.controller_for(source)
+                assert isinstance(router, SignalledACRouter)  # signalled engine
+                self.routers[source] = router
         self.traffic = TrafficModel(workload, self.streams)
         self.metrics = MetricsCollector(
             clock=lambda: self.simulator.now, batch_size=batch_size
@@ -166,30 +344,12 @@ class AnycastSimulation:
         self.trace = trace
         self._active: dict[int, tuple[AdmittedFlow, Event]] = {}
         self.flows_dropped_by_faults = 0
-        self.fault_state: Optional[FaultState] = None
-        self._fault_injector: Optional[FaultInjector] = None
-        if fault_config is not None:
-            self.fault_state = FaultState(self.network)
-            engine = FaultAwareReservationEngine(self.network, self.fault_state)
-            # Every AC-router shares the fault-aware engine so failed
-            # routes are refused like saturated ones.
-            for source in workload.sources:
-                controller = self.system.controller_for(source)
-                assert isinstance(controller, ACRouter)  # GDI rejected above
-                controller.reservation = engine
-            self._fault_injector = FaultInjector(
-                self.simulator,
-                self.fault_state,
-                self.streams.stream("faults"),
-                mean_time_to_failure_s=fault_config.mean_time_to_failure_s,
-                mean_time_to_repair_s=fault_config.mean_time_to_repair_s,
-                cables=fault_config.cables,
-                on_fail=self._handle_fault,
-            )
+        self._decision_latency_total = 0.0
+        self.refresh_messages = 0
         self._ran = False
 
     # ------------------------------------------------------------------
-    # event handlers
+    # event handlers shared by both planes
     # ------------------------------------------------------------------
     def _schedule_next_arrival(self) -> None:
         request = self.traffic.next_request()
@@ -201,26 +361,37 @@ class AnycastSimulation:
 
     def _handle_arrival(self, request: FlowRequest) -> None:
         self._schedule_next_arrival()
+        routers = self.routers
+        if routers is not None:
+            routers[request.source].admit(request, self._handle_signalled_decision)
+            return
         result = self.system.admit(request)
-        in_window = request.arrival_time >= self.warmup_s
-        if in_window:
-            self.metrics.record_decision(result)
-            if self.trace is not None:
-                self.trace.record(result)
-        if result.admitted:
-            assert result.flow is not None  # admitted implies a granted flow
-            flow: AdmittedFlow = result.flow
-            self.metrics.record_flow_start()
+        self._record_decision(result)
+        flow = result.flow
+        if flow is not None:
             departure = self.simulator.schedule(
                 request.lifetime_s, lambda: self._handle_departure(flow)
             )
             self._active[flow.flow_id] = (flow, departure)
+
+    def _record_decision(self, result: AdmissionResult, latency_s: float = 0.0) -> None:
+        """Record a decision whose request arrived in the window; start its flow."""
+        if result.request.arrival_time >= self.warmup_s:
+            self.metrics.record_decision(result)
+            self._decision_latency_total += latency_s
+            if self.trace is not None:
+                self.trace.record(result)
+        if result.flow is not None:
+            self.metrics.record_flow_start()
 
     def _handle_departure(self, flow: AdmittedFlow) -> None:
         self._active.pop(flow.flow_id, None)
         self.system.release(flow)
         self.metrics.record_flow_end()
 
+    # ------------------------------------------------------------------
+    # the atomic plane's faults
+    # ------------------------------------------------------------------
     def _handle_fault(
         self, cable: tuple[NodeId, NodeId], killed_flow_ids: list[int]
     ) -> None:
@@ -231,24 +402,76 @@ class AnycastSimulation:
                 continue
             flow, departure = entry
             departure.cancel()
-            # The failed cable already dropped its legs; release the rest.
-            controller = self.system.controller_for(flow.request.source)
-            assert isinstance(controller, ACRouter)  # faults imply distributed
-            controller.reservation.release(flow.path, flow_id)
-            flow.released = True
+            # The failed cable already dropped its legs; the fault-aware
+            # engine releases the rest.
+            self.system.release(flow)
             self.metrics.record_flow_end()
             self.flows_dropped_by_faults += 1
 
     # ------------------------------------------------------------------
+    # the signalled plane's decisions and leases
+    # ------------------------------------------------------------------
+    def _handle_signalled_decision(self, decision: SignalledAdmissionResult) -> None:
+        result = decision.result
+        self._record_decision(result, decision.latency_s)
+        flow = result.flow
+        if flow is not None:
+            key = decision.reservation_key
+            departure = self.simulator.schedule(
+                result.request.lifetime_s,
+                lambda: self._handle_signalled_departure(flow, key, refreshes),
+            )
+            # Bound here, long before the departure reads it.
+            refreshes = self._hold_lease(key, departure.time)
+
+    def _hold_lease(self, key: Hashable, departure_at: float) -> int:
+        """Hold ``key``'s lease for its flow's refreshes; return their count.
+
+        The source refreshes every ``refresh_interval_s`` from admission
+        on.  Refreshes are modelled as reliable (their Path/Resv pair is
+        charged to the message totals but not dropped) and draw no
+        random numbers, so the admission time, the interval and the
+        departure fix the whole chain.  The tick times accumulate as
+        repeated ``schedule(interval)`` calls would place them, and a
+        departure at the same instant as a tick wins the tie (it is the
+        earlier-scheduled event), so only ticks strictly before it
+        refresh.
+        """
+        assert self.chaos is not None  # leases exist on the signalled plane
+        interval = float(self.chaos.refresh_interval_s)
+        first = last = self.simulator.now + interval
+        if first >= departure_at:
+            return 0
+        refreshes = 1
+        while last + interval < departure_at:
+            last += interval
+            refreshes += 1
+        self.leases.hold(key, first, last)
+        return refreshes
+
+    def _handle_signalled_departure(
+        self, flow: AdmittedFlow, key: Hashable, refreshes: int
+    ) -> None:
+        # A lease collected before the first refresh (signalling slower
+        # than TTL - interval) was never refreshed: its owner found it
+        # gone and stopped.  A lease alive at the first refresh lives on.
+        if refreshes and key in self.leases:
+            self.refresh_messages += 2 * refreshes * max(0, len(flow.path) - 1)
+        self._handle_departure(flow)
+
+    # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(self) -> SimulationResult:
+    def run(self) -> "SimulationResult | ChaosResult":
         """Execute the run and return its summary.
 
-        A simulation object is single-use; build a new one per run.
+        The atomic plane stops at the horizon and returns a
+        :class:`SimulationResult`; the signalled plane then drains its
+        calendar and returns a :class:`ChaosResult`.  A simulation
+        object is single-use; build a new one per run.
         """
         if self._ran:
-            raise RuntimeError("AnycastSimulation objects are single-use")
+            raise RuntimeError(f"{type(self).__name__} objects are single-use")
         self._ran = True
         if self._fault_injector is not None:
             self._fault_injector.start()
@@ -261,6 +484,8 @@ class AnycastSimulation:
         self.simulator.schedule_at(self.warmup_s, self.metrics.active_flows.reset)
         self._schedule_next_arrival()
         self.simulator.run(until=self.horizon_s)
+        if self.chaos is not None:
+            return self._drain(self.chaos)
         if self._fault_injector is not None:
             # Stop the self-rescheduling fault timers so callers can
             # drain the remaining departures with an unbounded run().
@@ -299,6 +524,43 @@ class AnycastSimulation:
             fairness_index=self.metrics.fairness_index(),
         )
 
+    def _drain(self, chaos: ChaosConfig) -> ChaosResult:
+        """Drain the signalled plane's calendar and summarize the run."""
+        # Arrivals have stopped; in-flight admissions decide,
+        # departures tear down (lost TEARs strand orphans), leases
+        # expire and the collector self-quiesces, so the unbounded run
+        # terminates with an empty calendar.
+        self.simulator.run()
+        leaked = self.network.total_reserved_bps()
+        if _invariants.enabled:
+            _invariants.check_network(self.network)
+            _invariants.check_soft_state(self.network, self.leases)
+            _invariants.check_drained(self.network)
+        requests = self.metrics.requests
+        return ChaosResult(
+            system_label=self.system_spec.label,
+            loss_rate=chaos.loss_rate,
+            arrival_rate=self.workload.arrival_rate,
+            requests=requests,
+            admitted=self.metrics.admitted,
+            admission_probability=self.metrics.admission_probability,
+            mean_attempts=self.metrics.mean_attempts,
+            mean_admission_latency_s=(
+                self._decision_latency_total / requests if requests else 0.0
+            ),
+            signaling_messages=self.engine.total_messages,
+            retransmissions=self.engine.total_retransmissions,
+            tear_messages=self.engine.tear_messages,
+            refresh_messages=self.refresh_messages,
+            timeouts=self.engine.timeouts,
+            channel_sent=self.channel.sent,
+            channel_dropped=self.channel.dropped,
+            channel_duplicated=self.channel.duplicated,
+            orphans_collected=self.leases.orphans_collected,
+            reclaimed_bps=self.leases.reclaimed_bps,
+            leaked_bps=leaked,
+        )
+
 
 def run_simulation(
     network_factory: Callable[[], Network],
@@ -308,13 +570,14 @@ def run_simulation(
     measure_s: float = 4000.0,
     seed: int = 0,
 ) -> SimulationResult:
-    """Convenience wrapper: build and run one :class:`AnycastSimulation`."""
-    simulation = AnycastSimulation(
+    """Convenience wrapper: build and run one atomic :class:`AnycastSimulation`."""
+    result = AnycastSimulation(
         network_factory=network_factory,
         system_spec=system_spec,
         workload=workload,
         warmup_s=warmup_s,
         measure_s=measure_s,
         seed=seed,
-    )
-    return simulation.run()
+    ).run()
+    assert isinstance(result, SimulationResult)  # no chaos: the atomic plane
+    return result

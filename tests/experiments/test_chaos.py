@@ -21,8 +21,12 @@ from repro.experiments.chaos import (
     run_chaos_point,
 )
 from repro.experiments.config import quick_config
+from repro.sim.simulation import AnycastSimulation, FaultConfig
 
 LOSS_GRID = (0.0, 0.05, 0.2)
+
+#: Both ways to build the signalled plane; each rejection test checks both.
+SIGNALLED_DRIVERS = (ChaosSimulation, AnycastSimulation)
 
 
 def small_config():
@@ -117,34 +121,48 @@ class TestConfigValidation:
         # A NaN window passes sign checks, and its horizon never stops
         # the event loop: the run would not return.
         config = small_config()
-        with pytest.raises(ValueError):
-            ChaosSimulation(
-                network_factory=config.network_factory(),
-                system_spec=SystemSpec("ED", retrials=2),
-                workload=config.workload(5.0),
-                chaos=ChaosConfig(),
-                **{field: value},
-            )
+        for driver in SIGNALLED_DRIVERS:
+            with pytest.raises(ValueError):
+                driver(
+                    network_factory=config.network_factory(),
+                    system_spec=SystemSpec("ED", retrials=2),
+                    workload=config.workload(5.0),
+                    chaos=ChaosConfig(),
+                    **{field: value},
+                )
 
     def test_gdi_rejected(self):
         config = small_config()
-        with pytest.raises(ValueError):
-            ChaosSimulation(
-                network_factory=config.network_factory(),
-                system_spec=SystemSpec("GDI"),
-                workload=config.workload(20.0),
-                chaos=ChaosConfig(),
-            )
+        for driver in SIGNALLED_DRIVERS:
+            with pytest.raises(ValueError):
+                driver(
+                    network_factory=config.network_factory(),
+                    system_spec=SystemSpec("GDI"),
+                    workload=config.workload(20.0),
+                    chaos=ChaosConfig(),
+                )
 
     def test_stale_bandwidth_view_rejected(self):
         config = small_config()
-        with pytest.raises(ValueError, match="bandwidth_refresh_s"):
-            ChaosSimulation(
+        for driver in SIGNALLED_DRIVERS:
+            with pytest.raises(ValueError, match="bandwidth_refresh_s"):
+                driver(
+                    network_factory=config.network_factory(),
+                    system_spec=SystemSpec(
+                        "WD/D+B", retrials=2, bandwidth_refresh_s=5.0
+                    ),
+                    workload=config.workload(20.0),
+                    chaos=ChaosConfig(),
+                )
+
+    def test_faults_rejected_on_signalled_plane(self):
+        config = small_config()
+        with pytest.raises(ValueError, match="atomic plane"):
+            AnycastSimulation(
                 network_factory=config.network_factory(),
-                system_spec=SystemSpec(
-                    "WD/D+B", retrials=2, bandwidth_refresh_s=5.0
-                ),
+                system_spec=SystemSpec("ED", retrials=2),
                 workload=config.workload(20.0),
+                fault_config=FaultConfig(100.0, 10.0),
                 chaos=ChaosConfig(),
             )
 

@@ -5,6 +5,8 @@ is dropped, and the DAC procedure absorbs failures through its
 ordinary retrial mechanism.
 """
 
+import math
+
 import pytest
 
 from repro.core.system import SystemSpec
@@ -38,6 +40,21 @@ class TestFaultConfig:
             FaultConfig(mean_time_to_failure_s=0.0, mean_time_to_repair_s=1.0)
         with pytest.raises(ValueError):
             FaultConfig(mean_time_to_failure_s=1.0, mean_time_to_repair_s=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["failure", "repair"])
+    def test_non_finite_means_rejected(self, field, value):
+        # A NaN mean passes a sign check and only fails the first draw
+        # that uses it, partway through the run.
+        means = {"failure": 100.0, "repair": 10.0}
+        means[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            FaultConfig(means["failure"], means["repair"])
+
+    def test_unknown_cable_rejected_at_construction(self):
+        # MCI has no cable 0-3; the run used to fail at its first cut.
+        with pytest.raises(ValueError, match="no cable"):
+            make_simulation(FaultConfig(100.0, 10.0, cables=((0, 3),)))
 
     def test_gdi_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for link faults (repro.network.faults)."""
 
+import math
+
 import pytest
 
 from repro.network.faults import (
@@ -155,6 +157,31 @@ class TestFaultInjector:
                 StreamFactory(0).stream("f"),
                 mean_time_to_failure_s=0.0,
                 mean_time_to_repair_s=1.0,
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_means_rejected(self, value):
+        network = line(3)
+        for mttf, mttr in ((value, 1.0), (1.0, value)):
+            with pytest.raises(ValueError, match="finite"):
+                FaultInjector(
+                    Simulator(),
+                    FaultState(network),
+                    StreamFactory(0).stream("f"),
+                    mean_time_to_failure_s=mttf,
+                    mean_time_to_repair_s=mttr,
+                )
+
+    def test_unknown_cable_rejected(self):
+        network = line(3)
+        with pytest.raises(ValueError, match="no cable"):
+            FaultInjector(
+                Simulator(),
+                FaultState(network),
+                StreamFactory(0).stream("f"),
+                mean_time_to_failure_s=1.0,
+                mean_time_to_repair_s=1.0,
+                cables=[(0, 1), (0, 2)],
             )
 
 

@@ -1,6 +1,6 @@
 """Property: held leases reproduce the timer-driven refresh chain.
 
-``ChaosSimulation`` schedules no event per lease refresh.  At admission
+The signalled driver schedules no event per lease refresh.  At admission
 it derives its flow's refresh ticks from the departure time and hands
 the lease their outcome (``LeaseTable.hold``); at departure it charges
 the refresh messages.  The oracle below is the driver with the timer
@@ -27,8 +27,8 @@ class TimerRefreshSimulation(ChaosSimulation):
     def _hold_lease(self, key, departure_at):
         return 0  # the timer chain refreshes and charges instead
 
-    def _handle_decision(self, request, decision):
-        super()._handle_decision(request, decision)
+    def _handle_signalled_decision(self, decision):
+        super()._handle_signalled_decision(decision)
         if decision.admitted:
             flow, key = decision.result.flow, decision.reservation_key
             self.simulator.schedule(
