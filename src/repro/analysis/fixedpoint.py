@@ -16,25 +16,19 @@ Route-level rejection then follows from eq. 17:
 
     L_r = 1 - prod_{l in r} (1 - B_l)
 
-Experiment sweeps evaluate the fixed point at many offered loads (the
-x-axis of every figure); :meth:`ReducedLoadSolver.solve_grid` solves
-the whole grid in one vectorized iteration — links x grid-points
-matrices, one column per load multiplier — with a pure-Python
-per-point fallback when numpy is unavailable.
+Each :meth:`ReducedLoadSolver.solve` evaluates one offered load.
+:func:`repro.analysis.admission.analyze_system`, which Tables 1-2 and
+the capacity planner call, builds one solver per load point.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.analysis.erlang import erlang_b
-
-try:  # numpy accelerates solve_grid; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None  # type: ignore[assignment]
 
 LinkKey = Hashable
 #: signature of the link blocking function L(load_erlangs, capacity)
@@ -118,9 +112,10 @@ class ReducedLoadSolver:
         of the Erlang fixed point); the default 0.5 converges on every
         instance in the evaluation without changing the fixed point.
     tolerance:
-        Max-norm convergence threshold on blocking probabilities.
+        Max-norm convergence threshold on blocking probabilities;
+        finite and positive.
     max_iterations:
-        Iteration cap.
+        Iteration cap, at least 1.
     """
 
     def __init__(
@@ -134,8 +129,10 @@ class ReducedLoadSolver:
     ) -> None:
         if not 0 < damping <= 1:
             raise ValueError(f"damping must be in (0, 1], got {damping}")
-        if tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        if not 0 < tolerance < math.inf:  # NaN fails the comparison
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+        if not max_iterations >= 1:
+            raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         for route in routes:
             for link in route.links:
                 if link not in capacities:
@@ -219,190 +216,3 @@ class ReducedLoadSolver:
             iterations=iterations,
             converged=converged,
         )
-
-    # ------------------------------------------------------------------
-    # grid evaluation
-    # ------------------------------------------------------------------
-    def solve_grid(
-        self, scales: Sequence[float], initial_blocking: float = 0.0
-    ) -> list[FixedPointSolution]:
-        """Solve the fixed point at every offered-load multiplier at once.
-
-        ``scales[g]`` multiplies every route's intensity; the result is
-        one :class:`FixedPointSolution` per grid point, equivalent to
-        building a scaled solver per point and calling :meth:`solve`.
-        With numpy the whole grid iterates together on
-        ``links x points`` matrices (one column per load multiplier,
-        columns freeze as they converge, so per-point ``iterations``
-        match the scalar path); without numpy each point falls back to
-        a scalar :meth:`solve`.
-
-        The two paths agree to well within the solver tolerance — the
-        vectorized thinning accumulates per-route exclusion products
-        with prefix/suffix cumulative products, which reorders float
-        multiplications relative to the scalar loop.
-        """
-        if not 0 <= initial_blocking < 1:
-            raise ValueError(
-                f"initial blocking must be in [0, 1), got {initial_blocking}"
-            )
-        grid = [float(scale) for scale in scales]
-        for scale in grid:
-            if scale < 0:
-                raise ValueError(f"load scale must be non-negative, got {scale}")
-        if not grid:
-            return []
-        if _np is None:
-            return [self._solve_scaled(scale, initial_blocking) for scale in grid]
-        return self._solve_grid_numpy(grid, initial_blocking)
-
-    def _solve_scaled(
-        self, scale: float, initial_blocking: float
-    ) -> FixedPointSolution:
-        """One scalar :meth:`solve` with every route load times ``scale``."""
-        scaled = [
-            RouteLoad(links=route.links, load_erlangs=route.load_erlangs * scale)
-            for route in self.routes
-        ]
-        solver = ReducedLoadSolver(
-            self.capacities,
-            scaled,
-            blocking_function=self.blocking_function,
-            damping=self.damping,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-        )
-        return solver.solve(initial_blocking)
-
-    def _solve_grid_numpy(
-        self, grid: list[float], initial_blocking: float
-    ) -> list[FixedPointSolution]:
-        links = list(self.capacities)
-        if not links:
-            return [
-                FixedPointSolution({}, {}, iterations=1, converged=True)
-                for _ in grid
-            ]
-        index = {link: i for i, link in enumerate(links)}
-        n_links = len(links)
-        n_points = len(grid)
-        capacities = _np.array([self.capacities[link] for link in links])
-        scale_row = _np.array(grid)
-        # Routes become one (routes x hops) index matrix, short routes
-        # padded with a sentinel id whose "passing" probability is
-        # pinned at 1 — padding then contributes nothing to any real
-        # hop's exclusion product and its own contribution lands in a
-        # discarded sentinel row.
-        routed = [route for route in self.routes if route.links]
-        hops_max = max((len(route.links) for route in routed), default=0)
-        idx_matrix = _np.full((len(routed), hops_max), n_links, dtype=_np.intp)
-        for r, route in enumerate(routed):
-            idx_matrix[r, : len(route.links)] = [
-                index[link] for link in route.links
-            ]
-        flat_idx = idx_matrix.ravel()
-        # Accumulating hop contributions into links is a fixed linear
-        # map; as a one-hot matrix the per-iteration gather becomes a
-        # single matmul instead of an unbuffered scatter-add.
-        gather = _np.zeros((n_links + 1, flat_idx.size))
-        gather[flat_idx, _np.arange(flat_idx.size)] = 1.0
-        offered = _np.array([route.load_erlangs for route in routed])
-        # (routes, 1, points): every route's offered load per column.
-        offered_grid = (offered[:, None] * scale_row)[:, None, :]
-
-        def thinned(blocking: Any) -> Any:
-            """Eq. 18 for every link and grid column at once."""
-            if not routed:
-                return _np.zeros((n_links, n_points))
-            passing = _np.ones((n_links + 1, n_points))
-            _np.subtract(1.0, blocking, out=passing[:n_links])
-            rows = passing[idx_matrix]  # (routes, hops, points)
-            prefix = _np.ones_like(rows)
-            suffix = _np.ones_like(rows)
-            if hops_max > 1:
-                _np.cumprod(rows[:, :-1], axis=1, out=prefix[:, 1:])
-                suffix[:, :-1] = _np.cumprod(rows[:, :0:-1], axis=1)[:, ::-1]
-            exclusion = offered_grid * prefix * suffix
-            loads = gather @ exclusion.reshape(-1, n_points)
-            return loads[:n_links]
-
-        if self.blocking_function is erlang_b:
-
-            def apply_blocking(loads: Any) -> Any:
-                return _erlang_b_columns(loads, capacities)
-
-        else:
-            fn = self.blocking_function
-
-            def apply_blocking(loads: Any) -> Any:
-                raw = _np.empty_like(loads)
-                for i in range(n_links):
-                    capacity = self.capacities[links[i]]
-                    raw[i] = [fn(load, capacity) for load in loads[i]]
-                return raw
-
-        blocking = _np.full((n_links, n_points), float(initial_blocking))
-        loads = thinned(blocking)
-        active = _np.ones(n_points, dtype=bool)
-        iterations = _np.zeros(n_points, dtype=_np.int64)
-        converged = _np.zeros(n_points, dtype=bool)
-        for _ in range(self.max_iterations):
-            if not active.any():
-                break
-            raw = apply_blocking(loads)
-            new_blocking = (
-                self.damping * raw + (1.0 - self.damping) * blocking
-            )
-            delta = _np.abs(new_blocking - blocking).max(axis=0)
-            blocking[:, active] = new_blocking[:, active]
-            iterations[active] += 1
-            finished = active & (delta < self.tolerance)
-            converged |= finished
-            active &= ~finished
-            loads = thinned(blocking)
-        stuck = int((~converged).sum())
-        if stuck:
-            warnings.warn(
-                f"reduced-load fixed point did not converge within "
-                f"{self.max_iterations} iterations at {stuck} of "
-                f"{n_points} grid points (damping={self.damping}); "
-                f"returning the last iterates",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        solutions: list[FixedPointSolution] = []
-        for g in range(n_points):
-            solutions.append(
-                FixedPointSolution(
-                    link_blocking={
-                        link: float(blocking[i, g])
-                        for i, link in enumerate(links)
-                    },
-                    link_load={
-                        link: float(loads[i, g]) for i, link in enumerate(links)
-                    },
-                    iterations=int(iterations[g]),
-                    converged=bool(converged[g]),
-                )
-            )
-        return solutions
-
-
-def _erlang_b_columns(loads: Any, capacities: Any) -> Any:
-    """Vectorized Erlang-B over a ``links x points`` load matrix.
-
-    Runs the stable recursion ``B_c = v B / (c + v B)`` to the largest
-    capacity, capturing each row's value at its own ``C_l`` — per
-    element the arithmetic is identical to the scalar
-    :func:`repro.analysis.erlang.erlang_b`.
-    """
-    recursion = _np.ones_like(loads)
-    out = _np.ones_like(loads)  # capacity-0 rows block everything
-    top = int(capacities.max())
-    for c in range(1, top + 1):
-        thinned = loads * recursion
-        recursion = thinned / (c + thinned)
-        at_capacity = capacities == c
-        if at_capacity.any():
-            out[at_capacity] = recursion[at_capacity]
-    return out

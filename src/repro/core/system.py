@@ -12,6 +12,7 @@ share: atomic, fault-aware or signalled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
 
@@ -65,9 +66,9 @@ class SystemSpec:
         failed within the same request.
     bandwidth_refresh_s:
         Staleness ablation for WD/D+B: refresh period of the shared
-        link-state snapshot feeding ``B_i``.  0 (default) is the
-        paper's always-fresh idealization; > 0 requires the builder to
-        receive a simulation clock.
+        link-state snapshot feeding ``B_i``, finite and non-negative.
+        0 (default) is the paper's always-fresh idealization; > 0
+        requires the builder to receive a simulation clock.
     """
 
     algorithm: str
@@ -86,9 +87,9 @@ class SystemSpec:
             raise ValueError(f"R must be >= 1, got {self.retrials}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.bandwidth_refresh_s < 0:
+        if not 0 <= self.bandwidth_refresh_s < math.inf:  # NaN fails too
             raise ValueError(
-                f"bandwidth refresh period must be non-negative, "
+                f"bandwidth refresh period must be finite and non-negative, "
                 f"got {self.bandwidth_refresh_s}"
             )
 

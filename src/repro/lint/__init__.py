@@ -93,14 +93,12 @@ def lint_paths(
     paths: Iterable[Union[str, Path]],
     select: Optional[set[str]] = None,
     ignore: Optional[set[str]] = None,
-    callgraph_cache: Optional[Union[str, Path]] = None,
 ) -> list[Violation]:
     """Lint files and directory trees; returns all findings, sorted.
 
     ``select``/``ignore`` intersect with per-path rule scoping.  When
     any linted file needs R7, a call graph spanning every collected
-    file is built once (or loaded from ``callgraph_cache`` when its
-    per-file digests still match) and shared.
+    file is built once and shared.
     """
     files = _collect_files(paths)
     sources: dict[str, str] = {}
@@ -112,7 +110,7 @@ def lint_paths(
 
     graph: Optional[CallGraph] = None
     if any("R7" in rules for rules in per_file_rules.values()):
-        graph = _load_or_build_graph(sources, callgraph_cache)
+        graph = build_callgraph(sources)
 
     violations: list[Violation] = []
     for file_path in files:
@@ -126,28 +124,6 @@ def lint_paths(
             )
         )
     return violations
-
-
-def _load_or_build_graph(
-    sources: dict[str, str], cache_path: Optional[Union[str, Path]]
-) -> CallGraph:
-    if cache_path is not None:
-        cache = Path(cache_path)
-        if cache.exists():
-            try:
-                payload = json.loads(cache.read_text(encoding="utf-8"))
-                cached = CallGraph.from_payload(payload)
-                if cached.matches_sources(sources):
-                    return cached
-            except (ValueError, KeyError, TypeError):
-                pass  # stale or corrupt cache: rebuild below
-    graph = build_callgraph(sources)
-    if cache_path is not None:
-        Path(cache_path).write_text(
-            json.dumps(graph.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +334,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="rewrite --baseline with the current findings and exit 0",
     )
-    parser.add_argument(
-        "--callgraph-cache",
-        metavar="FILE",
-        help="cache the R7 call graph here (reused while file digests match)",
-    )
     args = parser.parse_args(argv)
     if args.list_rules:
         for code in sorted(ALL_RULES):
@@ -386,12 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: no such file or directory: {path}", file=sys.stderr)
         return 2
 
-    violations = lint_paths(
-        args.paths,
-        select=select,
-        ignore=ignore,
-        callgraph_cache=args.callgraph_cache,
-    )
+    violations = lint_paths(args.paths, select=select, ignore=ignore)
 
     if args.update_baseline:
         write_baseline(args.baseline, violations)

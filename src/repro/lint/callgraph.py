@@ -21,17 +21,11 @@ Resolution is deliberately conservative-but-useful:
 Calls into modules outside the indexed tree (stdlib, numpy...) are
 recorded as unresolved and ignored by traversal — the R1 rule already
 polices the dangerous external modules syntactically.
-
-The whole graph serializes to JSON keyed by per-file content digests
-(:meth:`CallGraph.to_payload` / :meth:`CallGraph.from_payload`), which
-is what ``python -m repro.lint --callgraph-cache`` and the CI job use
-to skip re-parsing unchanged files between steps.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Iterable, Optional, Union
@@ -108,7 +102,6 @@ class CallGraph:
     def __init__(self) -> None:
         self.functions: dict[str, FunctionInfo] = {}
         self._methods_by_name: dict[str, list[str]] = {}
-        self._file_digests: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def add(self, info: FunctionInfo) -> None:
@@ -135,67 +128,6 @@ class CallGraph:
                     seen[callee] = None
                     frontier.append(callee)
         return list(seen)
-
-    # ------------------------------------------------------------------
-    # cache serialization
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict:
-        """A JSON-ready snapshot keyed by per-file digests."""
-        return {
-            "version": 1,
-            "files": dict(sorted(self._file_digests.items())),
-            "functions": [
-                {
-                    "qualname": info.qualname,
-                    "module": info.module,
-                    "name": info.name,
-                    "path": info.path,
-                    "lineno": info.lineno,
-                    "calls": info.calls,
-                    "unresolved": info.unresolved,
-                    "mutates_module_state": [
-                        list(item) for item in info.mutates_module_state
-                    ],
-                    "unseeded_rng": [list(item) for item in info.unseeded_rng],
-                }
-                for _, info in sorted(self.functions.items())
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CallGraph":
-        graph = cls()
-        graph._file_digests = dict(payload.get("files", {}))
-        for raw in payload.get("functions", ()):
-            graph.add(
-                FunctionInfo(
-                    qualname=raw["qualname"],
-                    module=raw["module"],
-                    name=raw["name"],
-                    path=raw["path"],
-                    lineno=raw["lineno"],
-                    calls=list(raw.get("calls", ())),
-                    unresolved=list(raw.get("unresolved", ())),
-                    mutates_module_state=[
-                        (item[0], item[1])
-                        for item in raw.get("mutates_module_state", ())
-                    ],
-                    unseeded_rng=[
-                        (item[0], item[1]) for item in raw.get("unseeded_rng", ())
-                    ],
-                )
-            )
-        return graph
-
-    def matches_sources(self, sources: dict[str, str]) -> bool:
-        """Whether a cached graph is current for ``sources``."""
-        return self._file_digests == {
-            path: _digest(text) for path, text in sources.items()
-        }
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +396,6 @@ def build_callgraph(sources: dict[str, str]) -> CallGraph:
     syntax error separately).
     """
     graph = CallGraph()
-    graph._file_digests = {
-        path: _digest(text) for path, text in sorted(sources.items())
-    }
     modules: list[_ModuleIndex] = []
     for path in sorted(sources):
         try:

@@ -89,12 +89,13 @@ class Link:
     source, target:
         Endpoint node identifiers.
     capacity_bps:
-        Bandwidth available to anycast flows, in bits per second.  In
-        the paper's setup this is the 20 % anycast share of a
-        100 Mbit/s cable, i.e. 20 Mbit/s.
+        Bandwidth available to anycast flows, in bits per second;
+        finite and non-negative.  In the paper's setup this is the
+        20 % anycast share of a 100 Mbit/s cable, i.e. 20 Mbit/s.
     propagation_delay_s:
-        One-way propagation delay, used by the RSVP-lite signalling
-        model (the admission results themselves do not depend on it).
+        One-way propagation delay, finite and non-negative; used by the
+        RSVP-lite signalling model (the admission results themselves do
+        not depend on it).
     state:
         The :class:`LinkStateArrays` this link's accounting lives in;
         a network passes its shared instance.  A stand-alone link
@@ -121,11 +122,15 @@ class Link:
         propagation_delay_s: float = 0.001,
         state: Optional[LinkStateArrays] = None,
     ) -> None:
-        if capacity_bps < 0:
-            raise ValueError(f"capacity must be non-negative, got {capacity_bps}")
-        if propagation_delay_s < 0:
+        # Written so that NaN fails the comparison and is refused.
+        if not 0 <= capacity_bps < math.inf:
             raise ValueError(
-                f"propagation delay must be non-negative, got {propagation_delay_s}"
+                f"capacity must be finite and non-negative, got {capacity_bps}"
+            )
+        if not 0 <= propagation_delay_s < math.inf:
+            raise ValueError(
+                "propagation delay must be finite and non-negative, "
+                f"got {propagation_delay_s}"
             )
         self.source = source
         self.target = target

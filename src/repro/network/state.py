@@ -20,6 +20,7 @@ WD/D+B's advantage erodes as its information ages.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Hashable, Protocol, Sequence
 
 from repro import invariants
@@ -108,7 +109,8 @@ class SnapshotBandwidthView:
     clock:
         Zero-argument callable returning current simulated time.
     refresh_period_s:
-        Snapshot lifetime; 0 degenerates to live information.
+        Snapshot lifetime, finite and non-negative; 0 degenerates to
+        live information.
     """
 
     def __init__(
@@ -117,9 +119,10 @@ class SnapshotBandwidthView:
         clock: Callable[[], float],
         refresh_period_s: float,
     ) -> None:
-        if refresh_period_s < 0:
+        if not 0 <= refresh_period_s < math.inf:  # NaN fails too
             raise ValueError(
-                f"refresh period must be non-negative, got {refresh_period_s}"
+                "refresh period must be finite and non-negative, "
+                f"got {refresh_period_s}"
             )
         self._network = network
         self._clock = clock

@@ -14,6 +14,11 @@ compared.  Cancellation is lazy: a cancelled event stays in the heap
 and is skipped when it surfaces, while the simulator's live counter
 drops at once so :attr:`Simulator.pending_count` stays exact.
 
+:meth:`Simulator.run` is the only way to execute events.  It returns
+when the heap drains or the next live event lies after its ``until``
+horizon.  Given a horizon, it then sets the clock to ``until``, and a
+later ``run`` resumes from there.
+
 Example
 -------
 >>> sim = Simulator()
@@ -40,8 +45,8 @@ _INF = float("inf")
 class SimulationError(RuntimeError):
     """Raised when the simulator is used inconsistently.
 
-    Examples include scheduling an event in the past or running a
-    simulator that has already been stopped and drained.
+    Examples include scheduling an event in the past, a non-finite
+    event time or horizon, and a re-entrant :meth:`Simulator.run`.
     """
 
 
@@ -70,7 +75,7 @@ class Event:
         self.callback = callback
         self._cancelled = False
         # The simulator while the event is pending; None once it has
-        # fired, been cancelled or been cleared.
+        # fired or been cancelled.
         self._owner: Optional[Simulator] = owner
 
     def cancel(self) -> None:
@@ -128,7 +133,6 @@ class Simulator:
         )
         self._sequence = itertools.count()
         self._running = False
-        self._stopped = False
         self._events_executed = 0
 
     # ------------------------------------------------------------------
@@ -213,31 +217,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single earliest pending event.
-
-        Returns
-        -------
-        bool
-            ``True`` if an event was executed, ``False`` if no live
-            event was pending.
-        """
-        heap = self._heap
-        while heap:
-            time, _, event = heappop(heap)
-            if event._cancelled:
-                continue
-            event._owner = None
-            self._live -= 1
-            if self._check:
-                _invariants.check_time_monotonic(self._now, time, "Simulator.step")
-            self._now = time
-            self._events_executed += 1
-            event.callback()
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the event loop.
 
         Parameters
@@ -245,16 +225,8 @@ class Simulator:
         until:
             If given, stop once the next event would fire strictly
             after ``until`` and advance the clock to exactly ``until``.
-            Events scheduled at ``until`` itself *are* executed.  The
-            clock only jumps to ``until`` when the heap is drained
-            past it — if :meth:`stop` or ``max_events`` ended the run
-            with events still pending at or before ``until``, the
-            clock stays at the last executed event so a later
-            :meth:`run` resumes without moving time backwards.
+            Events scheduled at ``until`` itself *are* executed.
             ``None`` runs until no event is pending.
-        max_events:
-            Optional hard cap on the number of events to execute, a
-            guard against accidental infinite event cascades.
 
         Raises
         ------
@@ -267,14 +239,11 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        self._stopped = False
         heap = self._heap
         check = self._check
         horizon = _INF if until is None else until
-        budget = _INF if max_events is None else max_events
-        executed = 0
         try:
-            while heap and not self._stopped and executed < budget:
+            while heap:
                 time, _, event = heap[0]
                 if event._cancelled:
                     heappop(heap)
@@ -289,24 +258,10 @@ class Simulator:
                 self._now = time
                 self._events_executed += 1
                 event.callback()
-                executed += 1
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            next_time = self.peek()
-            if next_time is None or next_time > until:
-                self._now = until
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
-
-    def clear(self) -> None:
-        """Cancel all pending events and empty the heap."""
-        for entry in self._heap:
-            entry[2]._owner = None
-        self._heap.clear()
-        self._live = 0
+        if until is not None and self._now < until:
+            self._now = until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

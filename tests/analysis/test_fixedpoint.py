@@ -1,11 +1,19 @@
 """Unit tests for the reduced-load fixed point (repro.analysis.fixedpoint)."""
 
+import math
 import warnings
 
 import pytest
 
 from repro.analysis.erlang import erlang_b, uaa_blocking
 from repro.analysis.fixedpoint import FixedPointSolution, ReducedLoadSolver, RouteLoad
+from repro.network.routing import RouteTable
+from repro.network.topologies import (
+    FLOW_BANDWIDTH_BPS,
+    MCI_GROUP_MEMBERS,
+    MCI_SOURCES,
+    mci_backbone,
+)
 
 
 class TestRouteLoad:
@@ -129,6 +137,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ReducedLoadSolver(capacities={}, routes=[], tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-10])
+    def test_non_finite_or_negative_tolerance_rejected(self, tolerance):
+        # No delta is ever below a NaN tolerance: the solve would run
+        # to max_iterations and only then warn.
+        with pytest.raises(ValueError, match="tolerance"):
+            ReducedLoadSolver(capacities={"a": 5}, routes=[], tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_below_one_rejected(self, max_iterations):
+        # Zero iterations would return the starting guess, marked as
+        # not converged.
+        with pytest.raises(ValueError, match="max_iterations"):
+            ReducedLoadSolver(
+                capacities={"a": 5}, routes=[], max_iterations=max_iterations
+            )
+
     def test_bad_initial_blocking_rejected(self):
         solver = ReducedLoadSolver(capacities={"a": 5}, routes=[])
         with pytest.raises(ValueError):
@@ -166,6 +190,23 @@ class TestRobustness:
         for value in solution.link_blocking.values():
             assert 0.0 <= value <= 1.0
 
+    def test_mci_route_set_converges_at_heavy_load(self):
+        # Every source-to-member route of the paper's backbone at 200
+        # Erlangs each, far past the 312-trunk links' capacity.
+        network = mci_backbone()
+        capacities = {
+            (link.source, link.target): int(link.capacity_bps // FLOW_BANDWIDTH_BPS)
+            for link in network.links()
+        }
+        routes = [
+            RouteLoad(links=tuple(zip(route.path, route.path[1:])), load_erlangs=200.0)
+            for source in MCI_SOURCES
+            for route in RouteTable(network, source, MCI_GROUP_MEMBERS).routes()
+        ]
+        solution = ReducedLoadSolver(capacities, routes).solve()
+        assert solution.converged
+        assert max(solution.link_blocking.values()) > 0.5
+
 
 def _oscillating_solver(**overrides):
     """A heavily loaded multi-hop instance that 2-cycles undamped.
@@ -202,96 +243,3 @@ class TestConvergenceReporting:
             solution = solver.solve()
         assert solution.converged
         assert solution.iterations < solver.max_iterations
-
-    def test_grid_warns_on_stuck_points(self):
-        solver = _oscillating_solver()
-        with pytest.warns(RuntimeWarning, match="did not converge"):
-            solutions = solver.solve_grid([0.001, 1.0])
-        # The light point converges; the oscillating one reports it.
-        assert solutions[0].converged
-        assert not solutions[1].converged
-
-
-class TestSolveGrid:
-    CAPACITIES = {"a": 8, "b": 4, "c": 6}
-    ROUTES = [
-        RouteLoad(links=("a", "b"), load_erlangs=5.0),
-        RouteLoad(links=("b", "c"), load_erlangs=3.0),
-        RouteLoad(links=("a",), load_erlangs=2.0),
-        RouteLoad(links=(), load_erlangs=2.0),  # zero-hop, never blocked
-    ]
-    SCALES = [0.25, 0.5, 1.0, 2.0, 4.0]
-
-    def _solver(self, **overrides):
-        return ReducedLoadSolver(self.CAPACITIES, self.ROUTES, **overrides)
-
-    def _reference(self, scale):
-        scaled = [
-            RouteLoad(links=r.links, load_erlangs=r.load_erlangs * scale)
-            for r in self.ROUTES
-        ]
-        return ReducedLoadSolver(self.CAPACITIES, scaled).solve()
-
-    def test_matches_scalar_solves(self):
-        solutions = self._solver().solve_grid(self.SCALES)
-        assert len(solutions) == len(self.SCALES)
-        for scale, solution in zip(self.SCALES, solutions):
-            reference = self._reference(scale)
-            assert solution.converged == reference.converged
-            assert solution.iterations == reference.iterations
-            for link in self.CAPACITIES:
-                assert solution.link_blocking[link] == pytest.approx(
-                    reference.link_blocking[link], abs=1e-9
-                )
-                assert solution.link_load[link] == pytest.approx(
-                    reference.link_load[link], abs=1e-9
-                )
-
-    def test_custom_blocking_function_grid(self):
-        # Non-default blocking functions take the elementwise path.
-        solver = ReducedLoadSolver(
-            {"a": 312},
-            [RouteLoad(links=("a",), load_erlangs=250.0)],
-            blocking_function=uaa_blocking,
-        )
-        low, nominal = solver.solve_grid([0.5, 1.0])
-        assert nominal.link_blocking["a"] == pytest.approx(
-            solver.solve().link_blocking["a"], abs=1e-12
-        )
-        assert low.link_blocking["a"] < nominal.link_blocking["a"]
-
-    def test_empty_grid(self):
-        assert self._solver().solve_grid([]) == []
-
-    def test_zero_scale_never_blocks(self):
-        (solution,) = self._solver().solve_grid([0.0])
-        assert solution.converged
-        assert all(b == 0.0 for b in solution.link_blocking.values())
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            self._solver().solve_grid([1.0, -0.5])
-
-    def test_bad_initial_blocking_rejected(self):
-        with pytest.raises(ValueError):
-            self._solver().solve_grid([1.0], initial_blocking=1.0)
-
-    def test_no_links_degenerate(self):
-        solutions = ReducedLoadSolver({}, []).solve_grid([1.0, 2.0])
-        assert all(s.converged and s.link_blocking == {} for s in solutions)
-
-    def test_python_fallback_matches_numpy(self, monkeypatch):
-        import repro.analysis.fixedpoint as fixedpoint_module
-
-        if fixedpoint_module._np is None:
-            pytest.skip("numpy unavailable; only the fallback path exists")
-        vectorized = self._solver().solve_grid(self.SCALES)
-        monkeypatch.setattr(fixedpoint_module, "_np", None)
-        fallback = self._solver().solve_grid(self.SCALES)
-        for fast, slow in zip(vectorized, fallback):
-            assert fast.converged == slow.converged
-            assert fast.iterations == slow.iterations
-            for link in self.CAPACITIES:
-                assert fast.link_blocking[link] == pytest.approx(
-                    slow.link_blocking[link], abs=1e-9
-                )

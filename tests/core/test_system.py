@@ -1,5 +1,7 @@
 """Unit tests for system assembly (repro.core.system)."""
 
+import math
+
 import pytest
 
 from repro.baselines.gdi import GDIController
@@ -50,6 +52,11 @@ class TestSystemSpec:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
             SystemSpec("WD/D+H", alpha=2.0)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -1.0])
+    def test_invalid_bandwidth_refresh_rejected(self, period):
+        with pytest.raises(ValueError, match="refresh period"):
+            SystemSpec("WD/D+B", retrials=2, bandwidth_refresh_s=period)
 
     def test_distributed_flag(self):
         assert SystemSpec("ED").is_distributed

@@ -73,6 +73,13 @@ class TestQualitativeDegradation:
         assert lossy.retransmissions > 0
         assert lossy.channel_dropped > 0
 
+    def test_five_percent_loss_retransmits_without_leaking(self, ed_sweep):
+        five = ed_sweep[LOSS_GRID.index(0.05)]
+        assert five.admitted > 0
+        assert five.signaling_messages > 0
+        assert five.retransmissions > 0
+        assert five.leaked_bps == 0.0
+
     def test_zero_leaked_bandwidth_at_every_loss_rate(self, ed_sweep):
         for result in ed_sweep:
             assert result.leaked_bps == 0.0

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint.callgraph import CallGraph, build_callgraph, module_name_for
+from repro.lint.callgraph import build_callgraph, module_name_for
 
 
 def dedented(**sources):
@@ -253,40 +253,3 @@ class TestReachability:
 
     def test_unknown_roots_ignored(self):
         assert self.graph().reachable(["repro.a.missing"]) == []
-
-
-class TestCachePayload:
-    def test_round_trip_preserves_everything(self):
-        sources = dedented(
-            **{
-                "src/repro/a.py": """
-                CACHE = {}
-                import random
-
-                def record(key):
-                    CACHE[key] = random.random()
-
-                def top(key):
-                    return record(key)
-                """
-            }
-        )
-        graph = build_callgraph(sources)
-        clone = CallGraph.from_payload(graph.to_payload())
-        assert clone.to_payload() == graph.to_payload()
-        assert clone.lookup("repro.a.top").calls == ["repro.a.record"]
-        assert clone.matches_sources(sources)
-
-    def test_stale_cache_detected(self):
-        sources = dedented(
-            **{
-                "src/repro/a.py": """
-                def helper():
-                    return 1
-                """
-            }
-        )
-        graph = build_callgraph(sources)
-        edited = dict(sources)
-        edited["src/repro/a.py"] += "\n# trailing comment\n"
-        assert not graph.matches_sources(edited)

@@ -341,21 +341,6 @@ class TestCli:
     def test_update_baseline_requires_baseline(self):
         assert main(["--update-baseline", str(FLOW / "r5_clean.py")]) == 2
 
-    def test_callgraph_cache_round_trip(self, tmp_path):
-        cache = tmp_path / "callgraph.json"
-        fixture = str(FLOW / "r7_leak.py")
-        assert main(
-            ["--select", "R7", "--callgraph-cache", str(cache), fixture]
-        ) == 1
-        payload = json.loads(cache.read_text(encoding="utf-8"))
-        assert payload["version"] == 1
-        # Second run reuses the cache (identical digests) and agrees.
-        before = cache.read_text(encoding="utf-8")
-        assert main(
-            ["--select", "R7", "--callgraph-cache", str(cache), fixture]
-        ) == 1
-        assert cache.read_text(encoding="utf-8") == before
-
 
 class TestShippedTreeIsFlowClean:
     def test_flow_rules_pass_on_src(self):

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.network.link import InsufficientBandwidthError, Link
+from repro.network.topologies import mci_backbone
+from repro.network.topology import Network
 
 
 class TestConstruction:
@@ -22,6 +24,29 @@ class TestConstruction:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Link(0, 1, capacity_bps=1.0, propagation_delay_s=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, value):
+        # A link with a NaN capacity would refuse every flow.
+        with pytest.raises(ValueError, match="capacity"):
+            Link(0, 1, capacity_bps=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, value):
+        # A NaN delay would surface only mid-run, as a SimulationError
+        # from the first signalling message scheduled over the link.
+        with pytest.raises(ValueError, match="propagation delay"):
+            Link(0, 1, capacity_bps=1.0, propagation_delay_s=value)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"capacity_bps": math.nan}, {"propagation_delay_s": math.nan}],
+    )
+    def test_network_builders_refuse_non_finite_links(self, options):
+        with pytest.raises(ValueError):
+            Network().add_link(0, 1, **{"capacity_bps": 1.0, **options})
+        with pytest.raises(ValueError):
+            mci_backbone(**options)
 
     def test_initially_empty(self):
         link = Link(0, 1, capacity_bps=1000.0)

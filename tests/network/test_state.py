@@ -1,9 +1,12 @@
 """Unit tests for bandwidth views (repro.network.state)."""
 
+import math
+
 import pytest
 
+from repro.network.routing import RouteTable
 from repro.network.state import LiveBandwidthView, SnapshotBandwidthView
-from repro.network.topologies import line
+from repro.network.topologies import MCI_GROUP_MEMBERS, line, mci_backbone
 
 
 @pytest.fixture
@@ -20,6 +23,21 @@ class TestLiveView:
         assert view.path_available_bps(PATH) == 10 * 64_000.0
         network.link(1, 2).reserve("f", 64_000.0)
         assert view.path_available_bps(PATH) == 9 * 64_000.0
+
+    def test_route_scan_is_the_path_bottleneck(self):
+        # WD/D+B's per-request scan reads each route through its cached
+        # link ids; it must agree with the path walk on the MCI backbone.
+        network = mci_backbone()
+        view = LiveBandwidthView(network)
+        routes = RouteTable(network, 9, MCI_GROUP_MEMBERS).routes()
+        network.reserve_path(routes[0].path, "f", 64_000.0)
+        for route in routes:
+            assert view.route_available_bps(route) == view.path_available_bps(
+                route.path
+            )
+        assert view.route_available_bps(routes[0]) == (
+            network.link(*routes[0].path[:2]).capacity_bps - 64_000.0
+        )
 
 
 class TestSnapshotView:
@@ -64,6 +82,13 @@ class TestSnapshotView:
     def test_negative_period_rejected(self, network):
         with pytest.raises(ValueError):
             SnapshotBandwidthView(network, lambda: 0.0, -1.0)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_non_finite_period_rejected(self, network, period):
+        # A NaN period would refresh on every query, silently serving
+        # live information.
+        with pytest.raises(ValueError, match="refresh period"):
+            SnapshotBandwidthView(network, lambda: 0.0, period)
 
 
 class TestSelectorIntegration:

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.network.routing import RouteTable
 from repro.network.topologies import (
     ANYCAST_CAPACITY_BPS,
     FLOW_BANDWIDTH_BPS,
@@ -75,6 +76,23 @@ class TestMciBackbone:
         degrees = [net.degree(node) for node in net.nodes()]
         assert min(degrees) >= 2
         assert max(degrees) <= 6
+
+    def test_reserve_release_cycle_on_longest_route(self):
+        # 100 flows reserved along source 9's longest route to the
+        # group, then all released: every hop grants each flow and the
+        # backbone ends with nothing reserved.
+        net = mci_backbone()
+        table = RouteTable(net, 9, MCI_GROUP_MEMBERS)
+        route = max(table.routes(), key=lambda r: r.distance)
+        assert len(route.path) > 2
+        for flow in range(100):
+            assert net.reserve_path(route.path, flow, FLOW_BANDWIDTH_BPS)
+        assert net.total_reserved_bps() == 100 * FLOW_BANDWIDTH_BPS * (
+            len(route.path) - 1
+        )
+        for flow in range(100):
+            net.release_path(route.path, flow)
+        assert net.total_reserved_bps() == 0.0
 
 
 class TestNsfnet:

@@ -115,19 +115,18 @@ class TestRunningStatsProperties:
 # Dispatch-order oracle
 # ----------------------------------------------------------------------
 # Offsets mix exact ties (0.0 and a coarse grid) with continuous values
-# so same-timestamp runs, and stops partway through them, are common.
+# so same-timestamp runs, and horizons that fall on them, are common.
 _offsets = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0]),
     st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
 )
 
-# What an event does when it fires: nothing, stop the loop, schedule a
-# child (which at most stops the loop, so every cascade is finite), or
-# cancel another event, counted back from the latest one scheduled.
+# What an event does when it fires: nothing, schedule a child (which
+# does nothing, so every cascade is finite), or cancel another event,
+# counted back from the latest one scheduled.
 _actions = st.one_of(
     st.none(),
-    st.just(("stop",)),
-    st.tuples(st.just("child"), _offsets, st.booleans()),
+    st.tuples(st.just("child"), _offsets),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=7)),
 )
 
@@ -145,11 +144,8 @@ _operations = st.lists(
         st.tuples(st.just("schedule_at"), _offsets, _actions),
         _cancel,
         _cancel,
-        st.tuples(st.just("step")),
         st.tuples(st.just("run_until"), _offsets),
-        st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=5)),
         st.tuples(st.just("run")),
-        st.tuples(st.just("clear")),
     ),
     min_size=10,
     max_size=80,
@@ -166,7 +162,6 @@ class _Reference:
     def __init__(self):
         self.now = 0.0
         self.live: dict[int, float] = {}
-        self.stopped = False
 
     def peek(self):
         return min(self.live.values(), default=None)
@@ -194,14 +189,8 @@ class _Lockstep:
         action = self.actions[real][index]
         if action is None:
             return
-        if action[0] == "stop":
-            if real:
-                self.sim.stop()
-            else:
-                self.ref.stopped = True
-        elif action[0] == "child":
-            child = ("stop",) if action[2] else None
-            self._schedule(real, "schedule", action[1], child)
+        if action[0] == "child":
+            self._schedule(real, "schedule", action[1], None)
         else:
             self._cancel(real, action[1])
 
@@ -232,27 +221,14 @@ class _Lockstep:
             self.ref.live.pop(self.ref_scheduled - 1 - pick % self.ref_scheduled, None)
 
     # -- the reference's event loop ----------------------------------
-    def _ref_step(self):
-        if not self.ref.live:
-            return False
-        self._fire(False, self.ref.pop())
-        return True
-
-    def _ref_run(self, until=None, max_events=None):
+    def _ref_run(self, until=None):
         ref = self.ref
-        ref.stopped = False
-        executed = 0
-        while ref.live and not ref.stopped:
-            if max_events is not None and executed >= max_events:
-                break
+        while ref.live:
             if until is not None and ref.peek() > until:
                 break
             self._fire(False, ref.pop())
-            executed += 1
-        if until is not None and ref.now < until and not ref.stopped:
-            upcoming = ref.peek()
-            if upcoming is None or upcoming > until:
-                ref.now = until
+        if until is not None and ref.now < until:
+            ref.now = until
 
     # -- one operation ------------------------------------------------
     def apply(self, op):
@@ -263,21 +239,13 @@ class _Lockstep:
         elif kind == "cancel":
             self._cancel(True, op[1])
             self._cancel(False, op[1])
-        elif kind == "step":
-            assert sim.step() == self._ref_step()
         elif kind == "run_until":
             until = ref.now + op[1]
             sim.run(until=until)
             self._ref_run(until=until)
-        elif kind == "run_max":
-            sim.run(max_events=op[1])
-            self._ref_run(max_events=op[1])
-        elif kind == "run":
+        else:
             sim.run()
             self._ref_run()
-        else:
-            sim.clear()
-            ref.live.clear()
         assert self.fired[True] == self.fired[False]
         assert sim.now == ref.now
         assert sim.peek() == ref.peek()
@@ -288,11 +256,10 @@ class _Lockstep:
 class TestDispatchOrderOracle:
     """The engine fires live events in (time, insertion) order.
 
-    Whatever the interleaving of scheduling, cancelling, stepping,
-    bounded and capped runs, stops from inside callbacks (also partway
-    through a same-timestamp run) and clears, the fired sequence and
-    the observable clock and queue state match the reference, with the
-    sanitizer on and off.
+    Whatever the interleaving of scheduling, cancelling (also from
+    inside callbacks), bounded and unbounded runs, the fired sequence
+    and the observable clock and queue state match the reference, with
+    the sanitizer on and off.
     """
 
     @pytest.mark.parametrize("check", [False, True])

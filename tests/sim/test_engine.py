@@ -166,50 +166,22 @@ class TestRunControl:
         sim.run()
         assert fired == [1, 5]
 
-    def test_stop_halts_event_loop(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
-    def test_max_events_caps_execution(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
-
-    @pytest.mark.parametrize("check", [False, True])
-    def test_zero_event_budget_fires_nothing(self, check):
-        # The budget is checked before each event, with the sanitizer
-        # on as well as off.
-        sim = Simulator(check_invariants=check)
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.run(max_events=0)
-        assert fired == []
-        assert sim.pending_count == 1
-
-    def test_step_executes_single_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
-
-    def test_clear_empties_calendar(self):
+    def test_clock_advances_to_until_past_last_event(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.clear()
-        assert sim.pending_count == 0
-        assert sim.peek() is None
+        sim.run(until=10.0)
+        assert sim.now == 10.0
+
+    def test_resumed_run_never_moves_time_backwards(self):
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: fired.append(sim.now))
+        sim.run(until=2.0)
+        assert sim.now == 2.0
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.now == 10.0
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()
@@ -248,55 +220,23 @@ class TestCascades:
         assert fired == [0, 1, 2, 3]
         assert sim.now == 4.0
 
+    def test_long_chain_runs_every_event(self):
+        sim = Simulator()
+
+        def tick():
+            if sim.events_executed < 10_000:
+                sim.schedule(1.0, tick)
+
+        sim.schedule(1.0, tick)
+        sim.run()
+        assert sim.events_executed == 10_000
+        assert sim.now == 10_000.0
+        assert sim.pending_count == 0
+
     def test_run_until_advances_clock_even_with_no_events(self):
         sim = Simulator()
         sim.run(until=10.0)
         assert sim.now == 10.0
-
-
-class TestMaxEventsClockRegression:
-    """``run(until=..., max_events=...)`` must not jump the clock past
-    still-pending events: doing so made a later ``run()`` execute those
-    events with time moving backwards."""
-
-    def test_clock_stays_at_last_event_when_cap_fires(self):
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda: None)
-        sim.run(until=10.0, max_events=2)
-        assert sim.now == 2.0
-        assert sim.pending_count == 1
-
-    def test_resumed_run_never_moves_time_backwards(self):
-        sim = Simulator()
-        fired = []
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda: fired.append(sim.now))
-        sim.run(until=10.0, max_events=2)
-        sim.run(until=10.0)
-        assert fired == [1.0, 2.0, 3.0]
-        assert fired == sorted(fired)
-        assert sim.now == 10.0
-
-    def test_clock_advances_to_until_when_cap_not_hit(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run(until=10.0, max_events=5)
-        assert sim.now == 10.0
-
-    def test_time_weighted_stats_survive_capped_run(self):
-        """The original symptom: TimeWeightedStats raised
-        'clock moved backwards' when recording in the resumed run."""
-        from repro.sim.stats import TimeWeightedStats
-
-        sim = Simulator()
-        stats = TimeWeightedStats(clock=lambda: sim.now)
-        stats.record(0.0)
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda: stats.record(1.0))
-        sim.run(until=10.0, max_events=2)
-        sim.run(until=10.0)
-        assert 0.0 < stats.mean < 1.0
 
 
 class TestLiveCountMaintenance:
@@ -310,13 +250,6 @@ class TestLiveCountMaintenance:
         sim.run(until=1.5)
         handle.cancel()
         assert sim.pending_count == 1
-
-    def test_cancel_after_clear_is_a_counting_noop(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.clear()
-        handle.cancel()
-        assert sim.pending_count == 0
 
     def test_interleaved_cancel_schedule_run_exact(self):
         sim = Simulator()
