@@ -266,7 +266,9 @@ class Network:
         """Export to a :class:`networkx.DiGraph` (for tests/analysis).
 
         Link attributes ``capacity_bps``, ``available_bps`` and
-        ``propagation_delay_s`` are attached to the edges.
+        ``propagation_delay_s`` are attached to the edges.  networkx is
+        in the ``dev`` extra, not a runtime dependency: it is imported
+        here, on first use, and only this method and the tests need it.
         """
         import networkx as nx
 
