@@ -8,7 +8,8 @@ median times ``1 - bound`` (the bound from this tree's ``BENCHMARK.json``).
 A workload the parent does not declare has no baseline and is not gated.
 
 Run from the repository root, with the parent commit checked out
-beside it::
+beside it and the parent's runtime dependencies installed (a dependency
+this tree dropped may still be imported by the parent)::
 
     git worktree add ../parent HEAD^
     python3 scripts/perf_gate.py ../parent
