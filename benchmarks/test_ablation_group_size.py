@@ -33,7 +33,7 @@ def run_group_sweep():
     return points
 
 
-def test_group_size_sweep(benchmark):
+def test_ap_rises_with_group_size(benchmark):
     points = benchmark.pedantic(run_group_sweep, rounds=1, iterations=1)
     rows = [
         [str(size), f"{p.admission_probability:.4f}"]

@@ -39,7 +39,7 @@ def test_parallel_point_bit_identical_and_faster(benchmark):
     spec = SystemSpec("WD/D+H", retrials=2)
 
     def serial():
-        return run_point(spec, HEAVY_RATE, config, workers=1)
+        return run_point(spec, HEAVY_RATE, config)
 
     def parallel():
         return ParallelRunner(workers=WORKERS).run_point(
@@ -80,8 +80,10 @@ def test_parallel_sweep_bit_identical(benchmark):
         arrival_rates=(HEAVY_RATE,),
     )
     specs = [SystemSpec("ED", retrials=2), SystemSpec("SP")]
-    serial_series = sweep(specs, config, workers=1)
+    serial_series = sweep(specs, config)
     parallel_series = benchmark.pedantic(
-        lambda: sweep(specs, config, workers=WORKERS), rounds=1, iterations=1
+        lambda: sweep(specs, config.scaled(workers=WORKERS)),
+        rounds=1,
+        iterations=1,
     )
     assert parallel_series == serial_series

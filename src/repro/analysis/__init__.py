@@ -20,40 +20,19 @@ from repro.analysis.admission import (
     analyze_system,
     build_route_loads,
 )
-from repro.analysis.erlang import erlang_b, erlang_b_inverse_load, uaa_blocking
+from repro.analysis.erlang import erlang_b, uaa_blocking
 from repro.analysis.fixedpoint import FixedPointSolution, ReducedLoadSolver, RouteLoad
-from repro.analysis.multirate import (
-    MultirateLinkReport,
-    TrafficClass,
-    analyze_link,
-    class_blocking,
-    occupancy_distribution,
-)
-from repro.analysis.multirate_fixedpoint import (
-    ClassedRouteLoad,
-    MultirateFixedPointSolution,
-    MultirateReducedLoadSolver,
-)
 from repro.analysis.planning import max_arrival_rate, required_capacity
 
 __all__ = [
     "AnalysisResult",
-    "ClassedRouteLoad",
     "FixedPointSolution",
-    "MultirateFixedPointSolution",
-    "MultirateLinkReport",
-    "MultirateReducedLoadSolver",
     "ReducedLoadSolver",
     "RouteLoad",
-    "TrafficClass",
-    "analyze_link",
     "analyze_system",
     "build_route_loads",
-    "class_blocking",
     "erlang_b",
-    "erlang_b_inverse_load",
     "max_arrival_rate",
-    "occupancy_distribution",
     "required_capacity",
     "uaa_blocking",
 ]

@@ -122,28 +122,3 @@ def uaa_blocking(load_erlangs: float, capacity: int) -> float:
     blocking = exp_f / (m * math.sqrt(2.0 * math.pi * variance))
     return min(1.0, max(0.0, blocking))
 
-
-def erlang_b_inverse_load(capacity: int, target_blocking: float) -> float:
-    """Offered load at which Erlang-B hits ``target_blocking``.
-
-    Solves ``B(v, C) = target`` for ``v`` by bisection; useful for
-    sizing workloads ("what lambda gives 10 % link blocking?").
-    """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    if not 0.0 < target_blocking < 1.0:
-        raise ValueError(
-            f"target blocking must be in (0, 1), got {target_blocking}"
-        )
-    low, high = 0.0, float(capacity)
-    while erlang_b(high, capacity) < target_blocking:
-        high *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if erlang_b(mid, capacity) < target_blocking:
-            low = mid
-        else:
-            high = mid
-        if high - low < 1e-12 * max(1.0, high):
-            break
-    return 0.5 * (low + high)

@@ -23,10 +23,8 @@ everything from the command line.
 
 from repro.experiments.ablations import (
     alpha_sweep,
-    group_size_sweep,
     information_decomposition,
     retrial_discipline,
-    retrial_limit_sweep,
     staleness_sweep,
 )
 from repro.experiments.chaos import (
@@ -38,11 +36,7 @@ from repro.experiments.chaos import (
     run_chaos_point,
 )
 from repro.experiments.config import ExperimentConfig, paper_config, quick_config
-from repro.experiments.diagnostics import (
-    CongestionReport,
-    compare_congestion,
-    congestion_report,
-)
+from repro.experiments.diagnostics import CongestionReport, congestion_report
 from repro.experiments.figures import (
     FigureResult,
     figure3,
@@ -67,19 +61,16 @@ __all__ = [
     "alpha_sweep",
     "chaos_figure",
     "chaos_sweep",
-    "compare_congestion",
     "congestion_report",
     "figure3",
     "figure4",
     "figure5",
     "figure6",
     "figure7",
-    "group_size_sweep",
     "information_decomposition",
     "paper_config",
     "quick_config",
     "retrial_discipline",
-    "retrial_limit_sweep",
     "run_chaos_point",
     "run_point",
     "staleness_sweep",

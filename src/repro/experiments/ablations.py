@@ -13,7 +13,7 @@ condition label to :class:`repro.experiments.runner.PointResult`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.system import SystemSpec
 from repro.experiments.config import ExperimentConfig
@@ -95,42 +95,4 @@ def retrial_discipline(
             arrival_rate,
             config,
         ),
-    }
-
-
-def group_size_sweep(
-    config: ExperimentConfig,
-    arrival_rate: float,
-    member_sets: dict,
-    algorithm: str = "ED",
-    retrials: int = 2,
-) -> dict:
-    """AP as the anycast group grows.
-
-    Parameters
-    ----------
-    member_sets:
-        ``{K: members_tuple}``; ideally nested prefixes so the only
-        varying factor is group size.
-    """
-    results = {}
-    for size, members in member_sets.items():
-        sized = config.scaled(group_members=tuple(members))
-        results[size] = run_point(
-            SystemSpec(algorithm, retrials=retrials), arrival_rate, sized
-        )
-    return results
-
-
-def retrial_limit_sweep(
-    config: ExperimentConfig,
-    arrival_rate: float,
-    algorithm: str = "ED",
-    limits: Optional[Sequence[int]] = None,
-) -> dict:
-    """AP and overhead as the retrial limit R grows (Figures 3-5 slice)."""
-    limits = tuple(limits) if limits is not None else config.retrial_limits
-    return {
-        r: run_point(SystemSpec(algorithm, retrials=r), arrival_rate, config)
-        for r in limits
     }

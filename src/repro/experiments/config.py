@@ -14,6 +14,7 @@ presets are provided:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -74,9 +75,6 @@ class ExperimentConfig:
     source_weights:
         Optional relative request rates per source (hot-spot
         workloads); ``None`` is the paper's uniform choice.
-    bandwidth_classes:
-        Optional ``(bandwidth_bps, probability)`` mix; ``None`` is the
-        paper's single 64 kbit/s class.
     workers:
         Process count for the experiment runner.  1 (default) runs
         serially in-process; > 1 fans independent replications and
@@ -96,7 +94,6 @@ class ExperimentConfig:
     arrival_rates: tuple = PAPER_ARRIVAL_RATES
     retrial_limits: tuple = PAPER_RETRIAL_LIMITS
     source_weights: tuple = None
-    bandwidth_classes: tuple = None
     workers: int = 1
 
     def __post_init__(self):
@@ -105,10 +102,11 @@ class ExperimentConfig:
                 f"unknown topology {self.topology!r}; "
                 f"known: {sorted(TOPOLOGY_FACTORIES)}"
             )
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("replications", "workers"):
+            value = getattr(self, name)
+            # A float such as 2.5 would pass ``< 1`` and fail inside range().
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "group_members", tuple(self.group_members))
         object.__setattr__(self, "arrival_rates", tuple(self.arrival_rates))
@@ -131,7 +129,6 @@ class ExperimentConfig:
             mean_lifetime_s=self.mean_lifetime_s,
             bandwidth_bps=self.bandwidth_bps,
             source_weights=self.source_weights,
-            bandwidth_classes=self.bandwidth_classes,
         )
 
     def scaled(self, **overrides) -> "ExperimentConfig":

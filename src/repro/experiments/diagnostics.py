@@ -108,29 +108,3 @@ def congestion_report(result: SimulationResult) -> CongestionReport:
         peak_utilization=values[0],
         gini=_gini(values),
     )
-
-
-def compare_congestion(
-    reports: Sequence[CongestionReport], top_n: int = 3
-) -> str:
-    """Side-by-side text comparison of several systems' profiles."""
-    rows = []
-    for report in reports:
-        hottest = ", ".join(
-            f"{h.link[0]}->{h.link[1]}({h.utilization:.0%})"
-            for h in report.top(top_n)
-        )
-        rows.append(
-            [
-                report.system_label,
-                f"{report.mean_utilization:.1%}",
-                f"{report.peak_utilization:.1%}",
-                f"{report.gini:.3f}",
-                hottest,
-            ]
-        )
-    return format_table(
-        ["system", "mean util", "peak util", "gini", f"top-{top_n} links"],
-        rows,
-        title="congestion signatures",
-    )

@@ -16,7 +16,7 @@ import json
 from typing import Optional
 
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import PointResult, SweepResult
+from repro.experiments.runner import PointResult
 from repro.experiments.tables import TableResult
 
 
@@ -45,41 +45,6 @@ def table_to_csv(table: TableResult, path: Optional[str] = None) -> str:
     writer.writerow(["method"] + [f"{rate:g}" for rate in table.arrival_rates])
     writer.writerow(["analysis"] + [f"{v:.6f}" for v in table.analysis])
     writer.writerow(["simulation"] + [f"{v:.6f}" for v in table.simulation])
-    return _write(buffer.getvalue(), path)
-
-
-def sweep_to_csv(sweeps: list[SweepResult], path: Optional[str] = None) -> str:
-    """Full-detail CSV of sweep results (one row per point)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "system",
-            "arrival_rate",
-            "admission_probability",
-            "ap_ci_low",
-            "ap_ci_high",
-            "mean_retrials",
-            "mean_attempts",
-            "requests",
-            "replications",
-        ]
-    )
-    for sweep in sweeps:
-        for point in sweep.points:
-            writer.writerow(
-                [
-                    point.system_label,
-                    f"{point.arrival_rate:g}",
-                    f"{point.admission_probability:.6f}",
-                    f"{point.ap_ci_low:.6f}",
-                    f"{point.ap_ci_high:.6f}",
-                    f"{point.mean_retrials:.6f}",
-                    f"{point.mean_attempts:.6f}",
-                    point.requests,
-                    point.replications,
-                ]
-            )
     return _write(buffer.getvalue(), path)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import Pool
 from typing import Optional, Sequence
 
 from repro.core.system import SystemSpec
@@ -69,31 +69,14 @@ class ParallelRunner:
         Process count; defaults to ``os.cpu_count()``.  ``1`` degrades
         to an in-process loop (no pool is created), so callers can pass
         the knob through unconditionally.
-    start_method:
-        Optional :mod:`multiprocessing` start method (``"fork"``,
-        ``"spawn"``, ``"forkserver"``); ``None`` uses the platform
-        default.  Results are identical under any of them.
-    chunksize:
-        Tasks handed to a worker per dispatch.  1 (default) gives the
-        best load balance for the long, unevenly-sized simulations the
-        runner produces.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        chunksize: int = 1,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.workers = workers
-        self.chunksize = chunksize
-        self._context = get_context(start_method)
 
     def run_tasks(self, tasks: Sequence[ReplicationTask]) -> list[SimulationResult]:
         """Run every task, returning results in task order.
@@ -105,8 +88,10 @@ class ParallelRunner:
         if self.workers == 1 or len(tasks) <= 1:
             return [run_task(task) for task in tasks]
         processes = min(self.workers, len(tasks))
-        with self._context.Pool(processes=processes) as pool:
-            return pool.map(run_task, tasks, chunksize=self.chunksize)
+        with Pool(processes=processes) as pool:
+            # imap dispatches one task at a time, the best balance for
+            # long, unevenly-sized simulations, and yields in task order.
+            return list(pool.imap(run_task, tasks))
 
     def run_point(
         self, spec: SystemSpec, arrival_rate: float, config: ExperimentConfig

@@ -137,26 +137,18 @@ def aggregate_point(
 
 
 def run_point(
-    spec: SystemSpec,
-    arrival_rate: float,
-    config: ExperimentConfig,
-    workers: Optional[int] = None,
+    spec: SystemSpec, arrival_rate: float, config: ExperimentConfig
 ) -> PointResult:
     """Run ``spec`` at ``arrival_rate`` with replications.
 
-    Parameters
-    ----------
-    workers:
-        Process count for fanning replications out; ``None`` defers to
-        ``config.workers`` (default 1 = the serial in-process path).
-        Results are bit-identical for any worker count — see
-        :mod:`repro.experiments.parallel`.
+    With ``config.workers > 1`` the replications fan out over a process
+    pool; results are bit-identical for any worker count — see
+    :mod:`repro.experiments.parallel`.
     """
-    effective_workers = config.workers if workers is None else workers
-    if effective_workers > 1 and config.replications > 1:
+    if config.workers > 1 and config.replications > 1:
         from repro.experiments.parallel import ParallelRunner
 
-        return ParallelRunner(workers=effective_workers).run_point(
+        return ParallelRunner(workers=config.workers).run_point(
             spec, arrival_rate, config
         )
     runs = [
@@ -170,25 +162,22 @@ def sweep(
     specs: Sequence[SystemSpec],
     config: ExperimentConfig,
     arrival_rates: Optional[Sequence[float]] = None,
-    workers: Optional[int] = None,
 ) -> list[SweepResult]:
     """Run every system over the lambda grid.
 
     Returns one :class:`SweepResult` per spec, in input order.  With
-    ``workers > 1`` (or ``config.workers > 1``) every independent
-    ``(system, rate, replication)`` simulation of the grid is executed
-    on a process pool; the series are bit-identical to a serial sweep.
+    ``config.workers > 1`` every independent ``(system, rate,
+    replication)`` simulation of the grid is executed on a process
+    pool; the series are bit-identical to a serial sweep.
     """
     rates = tuple(arrival_rates) if arrival_rates is not None else config.arrival_rates
-    effective_workers = config.workers if workers is None else workers
-    if effective_workers > 1:
+    if config.workers > 1:
         from repro.experiments.parallel import ParallelRunner
 
-        return ParallelRunner(workers=effective_workers).sweep(specs, config, rates)
+        return ParallelRunner(workers=config.workers).sweep(specs, config, rates)
+    # config.workers == 1 here, so run_point stays in-process.
     results = []
     for spec in specs:
-        points = tuple(
-            run_point(spec, rate, config, workers=1) for rate in rates
-        )
+        points = tuple(run_point(spec, rate, config) for rate in rates)
         results.append(SweepResult(system_label=spec.label, points=points))
     return results

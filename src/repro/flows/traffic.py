@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Optional
 
 from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
@@ -57,11 +57,6 @@ class WorkloadSpec:
         Optional relative request rates per source (aligned with
         ``sources``).  ``None`` reproduces the paper's uniform choice;
         weights let hot-spot workloads be modelled.
-    bandwidth_classes:
-        Optional mix of flow classes as ``(bandwidth_bps, probability)``
-        pairs; each request draws its class independently.  ``None``
-        reproduces the paper's single 64 kbit/s class.  Probabilities
-        must sum to one.
     """
 
     arrival_rate: float
@@ -71,7 +66,6 @@ class WorkloadSpec:
     bandwidth_bps: float = DEFAULT_FLOW_BANDWIDTH_BPS
     delay_bound_s: Optional[float] = None
     source_weights: Optional[tuple] = None
-    bandwidth_classes: Optional[tuple] = None
 
     def __post_init__(self):
         # Written so that NaN fails too.
@@ -81,9 +75,10 @@ class WorkloadSpec:
             )
         if not self.sources:
             raise ValueError("workload needs at least one source")
-        if not self.mean_lifetime_s > 0:
+        if not 0 < self.mean_lifetime_s < math.inf:
             raise ValueError(
-                f"mean lifetime must be positive, got {self.mean_lifetime_s}"
+                "mean lifetime must be positive and finite, "
+                f"got {self.mean_lifetime_s}"
             )
         if not 0 < self.bandwidth_bps < math.inf:
             raise ValueError(
@@ -102,19 +97,6 @@ class WorkloadSpec:
                     "source weights must be non-negative with positive sum"
                 )
             object.__setattr__(self, "source_weights", weights)
-        if self.bandwidth_classes is not None:
-            classes = tuple(
-                (float(bw), float(p)) for bw, p in self.bandwidth_classes
-            )
-            if not classes:
-                raise ValueError("bandwidth class mix must not be empty")
-            if not all(0 < bw < math.inf for bw, _ in classes):
-                raise ValueError("class bandwidths must be positive and finite")
-            if any(p < 0 for _, p in classes) or abs(
-                sum(p for _, p in classes) - 1.0
-            ) > 1e-9:
-                raise ValueError("class probabilities must sum to one")
-            object.__setattr__(self, "bandwidth_classes", classes)
 
     @property
     def per_source_rate(self) -> float:
@@ -126,23 +108,12 @@ class WorkloadSpec:
         """Total offered traffic intensity ``rho = lambda / mu``."""
         return self.arrival_rate * self.mean_lifetime_s
 
-    def qos(self, bandwidth_bps: Optional[float] = None) -> QoSRequirement:
-        """The QoS requirement of a flow of this workload.
-
-        ``bandwidth_bps`` overrides the default class (used when a
-        class mix is configured).
-        """
+    def qos(self) -> QoSRequirement:
+        """The QoS requirement of a flow of this workload."""
         return QoSRequirement(
-            bandwidth_bps=bandwidth_bps or self.bandwidth_bps,
+            bandwidth_bps=self.bandwidth_bps,
             delay_bound_s=self.delay_bound_s,
         )
-
-    @property
-    def mean_bandwidth_bps(self) -> float:
-        """Expected per-flow bandwidth over the class mix."""
-        if self.bandwidth_classes is None:
-            return self.bandwidth_bps
-        return sum(bw * p for bw, p in self.bandwidth_classes)
 
 
 class TrafficModel:
@@ -165,11 +136,10 @@ class TrafficModel:
         self._interarrival = streams.stream("traffic.interarrival")
         self._source = streams.stream("traffic.source")
         self._lifetime = streams.stream("traffic.lifetime")
-        self._class = streams.stream("traffic.class")
         self._next_flow_id = 0
         self._clock = 0.0
-        # Without a class mix every request carries the same (frozen) QoS.
-        self._qos = spec.qos() if spec.bandwidth_classes is None else None
+        # Every request carries the same (frozen) QoS.
+        self._qos = spec.qos()
 
     @property
     def generated_count(self) -> int:
@@ -186,37 +156,16 @@ class TrafficModel:
         else:
             source = self._source.choice(self.spec.sources)
         lifetime = self._lifetime.exponential(self.spec.mean_lifetime_s)
-        qos = self._qos
-        if qos is None:
-            classes = self.spec.bandwidth_classes
-            qos = self.spec.qos(
-                self._class.weighted_choice(
-                    [bw for bw, _ in classes], [p for _, p in classes]
-                )
-            )
         request = FlowRequest(
             flow_id=self._next_flow_id,
             source=source,
             group=self.spec.group,
-            qos=qos,
+            qos=self._qos,
             arrival_time=self._clock,
             lifetime_s=lifetime,
         )
         self._next_flow_id += 1
         return request
-
-    def requests_until(self, horizon_s: float) -> Iterator[FlowRequest]:
-        """Yield requests with arrival times up to ``horizon_s``.
-
-        The generator stops *before* yielding the first request beyond
-        the horizon; that arrival is lost (the model is memoryless so
-        this does not bias the process).
-        """
-        while True:
-            request = self.next_request()
-            if request.arrival_time > horizon_s:
-                return
-            yield request
 
     def take(self, count: int) -> list[FlowRequest]:
         """Generate exactly ``count`` requests (eager helper for tests)."""

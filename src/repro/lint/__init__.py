@@ -9,13 +9,10 @@ Two layers share one driver (see CONTRIBUTING.md):
   (:mod:`repro.lint.callgraph`) behind R7.
 
 Findings print as ``path:line:col: CODE message`` (``--format text``,
-optionally with ``--show-source`` snippets), as a JSON array
-(``--format json``), or as SARIF 2.1.0 (``--format sarif``) for CI
-annotation upload.  ``--select``/``--ignore`` narrow the rule set
+optionally with ``--show-source`` snippets) or as a JSON array
+(``--format json``).  ``--select``/``--ignore`` narrow the rule set
 (both intersect with per-path scoping; an unknown code is a usage
-error).  ``--baseline FILE`` hides grandfathered findings recorded
-with ``--update-baseline``.  Exit codes: 0 clean, 1 findings, 2 usage
-error.  A finding is silenced for one line with a trailing
+error).  Exit codes: 0 clean, 1 findings, 2 usage error.  A finding is silenced for one line with a trailing
 ``# repro-lint: disable=RX`` comment (comma-separate codes).
 """
 
@@ -127,54 +124,6 @@ def lint_paths(
 
 
 # ---------------------------------------------------------------------------
-# baseline (grandfathered findings)
-# ---------------------------------------------------------------------------
-def _fingerprint(violation: Violation) -> dict:
-    return {
-        "path": Path(violation.path).as_posix(),
-        "line": violation.line,
-        "rule": violation.rule,
-    }
-
-
-def load_baseline(path: Union[str, Path]) -> set[tuple[str, int, str]]:
-    """The grandfathered-finding fingerprints recorded in ``path``."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {
-        (entry["path"], entry["line"], entry["rule"])
-        for entry in payload.get("findings", ())
-    }
-
-
-def write_baseline(
-    path: Union[str, Path], violations: Sequence[Violation]
-) -> None:
-    """Record ``violations`` as the new grandfathered baseline."""
-    entries = sorted(
-        (_fingerprint(violation) for violation in violations),
-        key=lambda entry: (entry["path"], entry["line"], entry["rule"]),
-    )
-    payload = {"version": 1, "findings": entries}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _apply_baseline(
-    violations: list[Violation], known: set[tuple[str, int, str]]
-) -> tuple[list[Violation], int]:
-    kept: list[Violation] = []
-    hidden = 0
-    for violation in violations:
-        key = (Path(violation.path).as_posix(), violation.line, violation.rule)
-        if key in known:
-            hidden += 1
-        else:
-            kept.append(violation)
-    return kept, hidden
-
-
-# ---------------------------------------------------------------------------
 # reporters
 # ---------------------------------------------------------------------------
 def _render_text(violations: Sequence[Violation], show_source: bool) -> str:
@@ -213,58 +162,6 @@ def _render_json(violations: Sequence[Violation]) -> str:
         ],
         indent=2,
     )
-
-
-def _render_sarif(violations: Sequence[Violation]) -> str:
-    rule_ids = sorted({violation.rule for violation in violations} | set(ALL_RULES))
-    sarif = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "https://example.invalid/repro-lint",
-                        "rules": [
-                            {
-                                "id": rule_id,
-                                "shortDescription": {
-                                    "text": ALL_RULES.get(rule_id, rule_id)
-                                },
-                            }
-                            for rule_id in rule_ids
-                        ],
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": violation.rule,
-                        "level": "error",
-                        "message": {"text": violation.message},
-                        "locations": [
-                            {
-                                "physicalLocation": {
-                                    "artifactLocation": {
-                                        "uri": Path(violation.path).as_posix()
-                                    },
-                                    "region": {
-                                        "startLine": violation.line,
-                                        "startColumn": violation.col + 1,
-                                    },
-                                }
-                            }
-                        ],
-                    }
-                    for violation in violations
-                ],
-            }
-        ],
-    }
-    return json.dumps(sarif, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +211,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="output_format",
         help="finding output format (default: text)",
@@ -323,16 +220,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--show-source",
         action="store_true",
         help="print the offending source line under each text finding",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings to hide",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
     )
     args = parser.parse_args(argv)
     if args.list_rules:
@@ -346,8 +233,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ignore = (
             _parse_rule_codes(args.ignore, "--ignore") if args.ignore else None
         )
-        if args.update_baseline and not args.baseline:
-            raise _UsageError("--update-baseline requires --baseline FILE")
     except _UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -359,41 +244,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     violations = lint_paths(args.paths, select=select, ignore=ignore)
 
-    if args.update_baseline:
-        write_baseline(args.baseline, violations)
-        print(
-            f"repro-lint: baseline updated with {len(violations)} finding"
-            f"{'s' if len(violations) != 1 else ''}",
-            file=sys.stderr,
-        )
-        return 0
-
-    hidden = 0
-    if args.baseline and Path(args.baseline).exists():
-        violations, hidden = _apply_baseline(
-            violations, load_baseline(args.baseline)
-        )
-
     if args.output_format == "json":
         print(_render_json(violations))
-    elif args.output_format == "sarif":
-        print(_render_sarif(violations))
     elif violations:
         print(_render_text(violations, args.show_source))
 
     if violations:
-        summary = (
-            f"repro-lint: {len(violations)} violation"
-            f"{'s' if len(violations) != 1 else ''} found"
-        )
-        if hidden:
-            summary += f" ({hidden} baselined finding{'s' if hidden != 1 else ''} hidden)"
-        print(summary, file=sys.stderr)
-        return 1
-    if hidden:
         print(
-            f"repro-lint: clean ({hidden} baselined finding"
-            f"{'s' if hidden != 1 else ''} hidden)",
+            f"repro-lint: {len(violations)} violation"
+            f"{'s' if len(violations) != 1 else ''} found",
             file=sys.stderr,
         )
+        return 1
     return 0

@@ -9,7 +9,7 @@ to the admission-control machinery.
   per-flow reservation ledger.
 * :mod:`repro.network.topology` -- the network graph.
 * :mod:`repro.network.routing` -- fixed shortest-path routes (and
-  k-shortest / feasible-path search used by the GDI baseline).
+  the feasible-path search used by the GDI baseline).
 * :mod:`repro.network.topologies` -- canned topologies including the
   19-node MCI ISP backbone of the paper's evaluation.
 """
@@ -19,12 +19,9 @@ from repro.network.routing import (
     Route,
     RouteTable,
     feasible_path,
-    k_shortest_paths,
     shortest_path,
 )
 from repro.network.topologies import (
-    abilene,
-    binary_tree,
     dumbbell,
     grid,
     line,
@@ -43,12 +40,9 @@ __all__ = [
     "NetworkError",
     "Route",
     "RouteTable",
-    "abilene",
-    "binary_tree",
     "dumbbell",
     "feasible_path",
     "grid",
-    "k_shortest_paths",
     "line",
     "mci_backbone",
     "nsfnet",

@@ -13,8 +13,6 @@ destination-selection algorithms.  This module provides:
 * :func:`feasible_path` -- minimum-hop path restricted to links with
   sufficient available bandwidth, used by the GDI baseline's
   exhaustive global search.
-* :func:`k_shortest_paths` -- loop-free k-shortest paths (Yen's
-  algorithm) used in ablation studies.
 """
 
 from __future__ import annotations
@@ -96,89 +94,6 @@ def _reconstruct(
         path.append(node)
     path.reverse()
     return path
-
-
-def all_shortest_path_lengths(network: Network, source: NodeId) -> dict[NodeId, int]:
-    """Hop distance from ``source`` to every reachable node (BFS)."""
-    if not network.has_node(source):
-        raise NetworkError(f"unknown source node {source!r}")
-    distances = {source: 0}
-    frontier: deque[NodeId] = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in _sorted_neighbors(network, node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                frontier.append(neighbor)
-    return distances
-
-
-def k_shortest_paths(
-    network: Network, source: NodeId, target: NodeId, k: int
-) -> list[list[NodeId]]:
-    """Yen's algorithm: up to ``k`` loop-free minimum-hop paths.
-
-    Paths are ordered by (hop count, lexicographic).  Used by the
-    multipath ablation of the GDI baseline.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    first = shortest_path(network, source, target)
-    if first is None:
-        return []
-    paths = [first]
-    candidates: list[tuple[int, list[str], list[NodeId]]] = []
-    seen = {tuple(first)}
-    while len(paths) < k:
-        previous = paths[-1]
-        for i in range(len(previous) - 1):
-            spur_node = previous[i]
-            root = previous[: i + 1]
-            removed_links: set[tuple[NodeId, NodeId]] = set()
-            for path in paths:
-                if len(path) > i and path[: i + 1] == root:
-                    removed_links.add((path[i], path[i + 1]))
-            banned_nodes = set(root[:-1])
-            spur = _restricted_bfs(network, spur_node, target, banned_nodes, removed_links)
-            if spur is not None:
-                candidate = root[:-1] + spur
-                key = tuple(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(
-                        (len(candidate), [repr(n) for n in candidate], candidate)
-                    )
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        paths.append(candidates.pop(0)[2])
-    return paths
-
-
-def _restricted_bfs(
-    network: Network,
-    source: NodeId,
-    target: NodeId,
-    banned_nodes: set[NodeId],
-    banned_links: set[tuple[NodeId, NodeId]],
-) -> Optional[list[NodeId]]:
-    """BFS avoiding given nodes and directed links (helper for Yen)."""
-    if source == target:
-        return [source]
-    parents = {source: source}
-    frontier: deque[NodeId] = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in _sorted_neighbors(network, node):
-            if neighbor in parents or neighbor in banned_nodes:
-                continue
-            if (node, neighbor) in banned_links:
-                continue
-            parents[neighbor] = node
-            if neighbor == target:
-                return _reconstruct(parents, source, target)
-            frontier.append(neighbor)
-    return None
 
 
 @dataclass(frozen=True)

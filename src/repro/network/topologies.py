@@ -169,34 +169,6 @@ def grid(
     return _build(f"grid-{rows}x{cols}", edges, capacity_bps, propagation_delay_s)
 
 
-#: Edge list of the 11-node Abilene (Internet2) backbone.
-ABILENE_EDGES: tuple[tuple[int, int], ...] = (
-    (0, 1),   # Seattle - Sunnyvale
-    (0, 2),   # Seattle - Denver
-    (1, 2),   # Sunnyvale - Denver
-    (1, 3),   # Sunnyvale - Los Angeles
-    (2, 4),   # Denver - Kansas City
-    (3, 5),   # Los Angeles - Houston
-    (4, 5),   # Kansas City - Houston
-    (4, 6),   # Kansas City - Indianapolis
-    (5, 7),   # Houston - Atlanta
-    (6, 7),   # Indianapolis - Atlanta
-    (6, 8),   # Indianapolis - Chicago
-    (7, 9),   # Atlanta - Washington DC
-    (8, 9),   # Chicago - Washington DC
-    (8, 10),  # Chicago - New York
-    (9, 10),  # Washington DC - New York
-)
-
-
-def abilene(
-    capacity_bps: float = ANYCAST_CAPACITY_BPS,
-    propagation_delay_s: float = 0.008,
-) -> Network:
-    """The 11-node Abilene (Internet2) backbone."""
-    return _build("abilene", ABILENE_EDGES, capacity_bps, propagation_delay_s)
-
-
 def ring(
     n: int,
     capacity_bps: float = ANYCAST_CAPACITY_BPS,
@@ -207,29 +179,6 @@ def ring(
         raise ValueError(f"ring needs >= 3 nodes, got {n}")
     edges = [(i, (i + 1) % n) for i in range(n)]
     return _build(f"ring-{n}", edges, capacity_bps, propagation_delay_s)
-
-
-def binary_tree(
-    depth: int,
-    capacity_bps: float = ANYCAST_CAPACITY_BPS,
-    propagation_delay_s: float = 0.001,
-) -> Network:
-    """A complete binary tree of the given ``depth`` (root id 0).
-
-    Node ``i`` has children ``2i+1`` and ``2i+2``; a depth-``d`` tree
-    has ``2**(d+1) - 1`` nodes.  Trees have unique paths, which makes
-    admission decisions fully determined by link state — useful for
-    exact unit tests.
-    """
-    if depth < 1:
-        raise ValueError(f"tree depth must be >= 1, got {depth}")
-    node_count = 2 ** (depth + 1) - 1
-    edges = []
-    for parent in range((node_count - 1) // 2):
-        for child in (2 * parent + 1, 2 * parent + 2):
-            if child < node_count:
-                edges.append((parent, child))
-    return _build(f"tree-{depth}", edges, capacity_bps, propagation_delay_s)
 
 
 def dumbbell(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.erlang import erlang_b, erlang_b_inverse_load, uaa_blocking
+from repro.analysis.erlang import erlang_b, uaa_blocking
 
 
 def full_recursion(load, capacity):
@@ -121,21 +121,3 @@ class TestUaaBlocking:
         with pytest.raises(ValueError):
             uaa_blocking(1.0, 0)
 
-
-class TestInverseLoad:
-    def test_round_trip(self):
-        load = erlang_b_inverse_load(50, 0.01)
-        assert erlang_b(load, 50) == pytest.approx(0.01, rel=1e-6)
-
-    def test_monotonic_in_target(self):
-        low = erlang_b_inverse_load(50, 0.001)
-        high = erlang_b_inverse_load(50, 0.1)
-        assert high > low
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            erlang_b_inverse_load(0, 0.01)
-        with pytest.raises(ValueError):
-            erlang_b_inverse_load(10, 0.0)
-        with pytest.raises(ValueError):
-            erlang_b_inverse_load(10, 1.0)

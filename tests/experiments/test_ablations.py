@@ -8,10 +8,8 @@ import pytest
 
 from repro.experiments.ablations import (
     alpha_sweep,
-    group_size_sweep,
     information_decomposition,
     retrial_discipline,
-    retrial_limit_sweep,
     staleness_sweep,
 )
 from repro.experiments.config import quick_config
@@ -74,27 +72,3 @@ class TestRetrialDiscipline:
             >= results["resample"].admission_probability - 0.03
         )
 
-
-class TestGroupSizeSweep:
-    def test_structure(self, tiny):
-        results = group_size_sweep(
-            tiny, RATE, member_sets={1: (8,), 3: (8, 0, 16)}
-        )
-        assert set(results) == {1, 3}
-        assert (
-            results[3].admission_probability
-            >= results[1].admission_probability - 0.05
-        )
-
-
-class TestRetrialLimitSweep:
-    def test_defaults_use_config_grid(self, tiny):
-        results = retrial_limit_sweep(tiny, RATE)
-        assert set(results) == set(tiny.retrial_limits)
-
-    def test_monotone_in_r(self, tiny):
-        results = retrial_limit_sweep(tiny, RATE, limits=(1, 3))
-        assert (
-            results[3].admission_probability
-            >= results[1].admission_probability - 0.02
-        )

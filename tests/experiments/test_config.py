@@ -45,6 +45,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(replications=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("replications", 2.5), ("workers", 1.5), ("workers", 0)]
+    )
+    def test_counts_must_be_integers_at_least_one(self, field, value):
+        # A float count used to fail only inside run_point, with TypeError.
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
+
 
 class TestHelpers:
     def test_network_factory_builds_fresh_instances(self):
@@ -79,13 +87,6 @@ class TestWorkloadExtensionsPropagate:
         workload = config.workload(10.0)
         assert workload.source_weights == weights
 
-    def test_bandwidth_classes_flow_into_workload(self):
-        mix = ((64_000.0, 0.5), (128_000.0, 0.5))
-        config = ExperimentConfig(bandwidth_classes=mix)
-        workload = config.workload(10.0)
-        assert workload.bandwidth_classes == mix
-
     def test_defaults_reproduce_paper(self):
         workload = ExperimentConfig().workload(10.0)
         assert workload.source_weights is None
-        assert workload.bandwidth_classes is None

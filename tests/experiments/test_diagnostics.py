@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.diagnostics import (
-    _gini,
-    compare_congestion,
-    congestion_report,
-)
+from repro.experiments.diagnostics import _gini, congestion_report
 from repro.sim.metrics import SimulationResult
 
 
@@ -72,17 +68,6 @@ class TestCongestionReport:
         text = report.render()
         assert "0->1" in text
         assert "42.0%" in text
-
-
-class TestCompare:
-    def test_comparison_table(self):
-        a = congestion_report(make_result({(0, 1): 0.9, (1, 2): 0.1}, "SP"))
-        b = congestion_report(
-            make_result({(0, 1): 0.5, (1, 2): 0.5}, "<ED,2>")
-        )
-        text = compare_congestion([a, b])
-        assert "SP" in text and "<ED,2>" in text
-        assert a.gini > b.gini  # SP's funnel shows up
 
 
 class TestEndToEnd:

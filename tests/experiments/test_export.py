@@ -9,7 +9,6 @@ import pytest
 from repro.experiments.export import (
     figure_to_csv,
     figure_to_json,
-    sweep_to_csv,
     table_to_csv,
     table_to_json,
 )
@@ -72,14 +71,6 @@ class TestCsvExports:
         assert rows[0] == ["method", "5", "50"]
         assert rows[1][0] == "analysis"
         assert rows[2][0] == "simulation"
-
-    def test_sweep_full_detail(self, figure):
-        text = sweep_to_csv(list(figure.sweeps))
-        rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 3  # header + 2 points
-        header = rows[0]
-        assert "ap_ci_low" in header and "requests" in header
-        assert rows[1][0] == "<ED,2>"
 
     def test_write_to_file(self, figure, tmp_path):
         path = tmp_path / "fig.csv"

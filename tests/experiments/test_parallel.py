@@ -24,12 +24,12 @@ def tiny_config():
 
 @pytest.fixture(scope="module")
 def serial_sweep(tiny_config):
-    return sweep(SPECS, tiny_config, workers=1)
+    return sweep(SPECS, tiny_config)
 
 
 class TestBitIdenticalResults:
     def test_parallel_sweep_matches_serial(self, tiny_config, serial_sweep):
-        parallel = sweep(SPECS, tiny_config, workers=2)
+        parallel = sweep(SPECS, tiny_config.scaled(workers=2))
         assert parallel == serial_sweep
 
     def test_parallel_run_point_matches_serial(self, tiny_config, serial_sweep):
@@ -62,5 +62,3 @@ class TestTaskPlumbing:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             ParallelRunner(workers=0)
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=2, chunksize=0)

@@ -1,4 +1,4 @@
-"""Tests for the workload extensions: hot spots and class mixes."""
+"""Tests for the workload extension: source hot spots."""
 
 import pytest
 
@@ -43,106 +43,3 @@ class TestSourceWeights:
         spec = make_spec()
         assert spec.source_weights is None
 
-
-class TestBandwidthClasses:
-    def test_mix_probabilities_respected(self):
-        spec = make_spec(
-            bandwidth_classes=((64_000.0, 0.75), (256_000.0, 0.25))
-        )
-        model = TrafficModel(spec, StreamFactory(3))
-        requests = model.take(4000)
-        wide = sum(1 for r in requests if r.bandwidth_bps == 256_000.0)
-        assert wide / 4000 == pytest.approx(0.25, abs=0.03)
-        assert all(
-            r.bandwidth_bps in (64_000.0, 256_000.0) for r in requests
-        )
-
-    def test_mean_bandwidth(self):
-        spec = make_spec(
-            bandwidth_classes=((64_000.0, 0.5), (192_000.0, 0.5))
-        )
-        assert spec.mean_bandwidth_bps == pytest.approx(128_000.0)
-        assert make_spec().mean_bandwidth_bps == 64_000.0
-
-    def test_class_validation(self):
-        with pytest.raises(ValueError):
-            make_spec(bandwidth_classes=())
-        with pytest.raises(ValueError):
-            make_spec(bandwidth_classes=((0.0, 1.0),))
-        with pytest.raises(ValueError):
-            make_spec(bandwidth_classes=((64_000.0, 0.5), (128_000.0, 0.4)))
-
-    def test_single_class_mix_equals_fixed_bandwidth(self):
-        spec = make_spec(bandwidth_classes=((64_000.0, 1.0),))
-        model = TrafficModel(spec, StreamFactory(4))
-        assert all(r.bandwidth_bps == 64_000.0 for r in model.take(50))
-
-
-class TestMultirateCrossValidation:
-    def test_two_class_star_matches_kaufman_roberts(self):
-        """Simulated two-class blocking on one link vs the recursion.
-
-        A single-source star spoke is exactly the Kaufman-Roberts
-        model, so the per-class simulated blocking must converge to it.
-        """
-        from repro.analysis.multirate import TrafficClass, class_blocking
-        from repro.core.system import SystemSpec
-        from repro.network.topologies import star
-        from repro.sim.simulation import AnycastSimulation
-        from repro.sim.trace import TraceRecorder
-
-        slot = 64_000.0
-        capacity_slots = 10
-        group = AnycastGroup("A", (1,))
-        rate, lifetime = 0.4, 10.0
-        mix = ((slot, 0.7), (3 * slot, 0.3))
-        spec = WorkloadSpec(
-            arrival_rate=rate,
-            sources=(0,),
-            group=group,
-            mean_lifetime_s=lifetime,
-            bandwidth_classes=mix,
-        )
-        trace = TraceRecorder()
-        simulation = AnycastSimulation(
-            network_factory=lambda: star(1, capacity_bps=capacity_slots * slot),
-            system_spec=SystemSpec("ED", retrials=1),
-            workload=spec,
-            warmup_s=200.0,
-            measure_s=8000.0,
-            seed=5,
-            trace=trace,
-        )
-        simulation.run()
-
-        classes = [
-            TrafficClass(rate * lifetime * 0.7, 1, "thin"),
-            TrafficClass(rate * lifetime * 0.3, 3, "wide"),
-        ]
-        expected_thin, expected_wide = class_blocking(capacity_slots, classes)
-
-        # The trace does not store bandwidth, but the traffic model is
-        # deterministic per seed: replaying it recovers each flow's class.
-        model = TrafficModel(spec, StreamFactory(5))
-        max_flow_id = max(record.flow_id for record in trace)
-        classes_by_id = {}
-        while model.generated_count <= max_flow_id:
-            request = model.next_request()
-            classes_by_id[request.flow_id] = request.bandwidth_bps
-
-        thin_offered = thin_rejected = wide_offered = wide_rejected = 0
-        for record in trace:
-            bandwidth = classes_by_id[record.flow_id]
-            if bandwidth == slot:
-                thin_offered += 1
-                thin_rejected += 0 if record.admitted else 1
-            else:
-                wide_offered += 1
-                wide_rejected += 0 if record.admitted else 1
-        assert thin_offered > 500 and wide_offered > 200
-        assert thin_rejected / thin_offered == pytest.approx(
-            expected_thin, abs=0.03
-        )
-        assert wide_rejected / wide_offered == pytest.approx(
-            expected_wide, abs=0.05
-        )

@@ -6,11 +6,13 @@ raised arrival rates keep the offered loads at paper levels while
 shrinking transients).  The benchmarks re-verify them at paper scale.
 """
 
+import os
+
 import pytest
 
 from repro.core.system import SystemSpec
 from repro.experiments.config import quick_config
-from repro.experiments.runner import run_point
+from repro.experiments.runner import run_point, sweep
 
 pytestmark = pytest.mark.slow  # minutes-long simulations; skip with -m 'not slow'
 
@@ -24,19 +26,24 @@ MODERATE_RATE = 6.0 * 20.0
 
 @pytest.fixture(scope="module")
 def heavy_results():
-    """All systems at the heavy-load point, shared across tests."""
-    specs = {
-        "SP": SystemSpec("SP"),
-        "<ED,1>": SystemSpec("ED", retrials=1),
-        "<ED,2>": SystemSpec("ED", retrials=2),
-        "<ED,3>": SystemSpec("ED", retrials=3),
-        "<WD/D+H,2>": SystemSpec("WD/D+H", retrials=2),
-        "<WD/D+B,2>": SystemSpec("WD/D+B", retrials=2),
-        "GDI": SystemSpec("GDI"),
-    }
+    """All systems at the heavy-load point, shared across tests.
+
+    One sweep over every CPU: parallel results are bit-identical to
+    serial ones, so the assertions see the same numbers either way.
+    """
+    specs = (
+        SystemSpec("SP"),
+        SystemSpec("ED", retrials=1),
+        SystemSpec("ED", retrials=2),
+        SystemSpec("ED", retrials=3),
+        SystemSpec("WD/D+H", retrials=2),
+        SystemSpec("WD/D+B", retrials=2),
+        SystemSpec("GDI"),
+    )
+    config = CONFIG.scaled(workers=os.cpu_count() or 1)
     return {
-        label: run_point(spec, HEAVY_RATE, CONFIG)
-        for label, spec in specs.items()
+        series.system_label: series.point_at(HEAVY_RATE)
+        for series in sweep(specs, config, arrival_rates=(HEAVY_RATE,))
     }
 
 

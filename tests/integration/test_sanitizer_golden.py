@@ -58,6 +58,6 @@ def test_parallel_sweep_matches_serial_under_sanitizer(sanitizer_everywhere):
     config = quick_config(seed=23).scaled(
         warmup_s=20.0, measure_s=80.0, replications=2, arrival_rates=(15.0, 40.0)
     )
-    serial = sweep(specs, config, workers=1)
-    parallel = sweep(specs, config, workers=2)
+    serial = sweep(specs, config)
+    parallel = sweep(specs, config.scaled(workers=2))
     assert parallel == serial

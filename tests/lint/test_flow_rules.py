@@ -4,9 +4,8 @@ Snippet tests pin each rule's semantics (including the acceptance
 criterion that R5 traverses exception edges: leaks that exist *only*
 on a ``raise`` path must be caught); the planted fixtures under
 ``fixtures/flow/`` pin exact file/line/rule reporting; CLI tests cover
-exit codes, output formats, ``--show-source``, the baseline workflow,
-and the call-graph cache; the final tests assert the shipped tree
-itself is R5-R7 clean.
+exit codes, output formats and ``--show-source``; the final test
+asserts the shipped tree itself is R5-R7 clean.
 """
 
 import json
@@ -295,19 +294,6 @@ class TestCli:
             (24, "R5"),
         ]
 
-    def test_sarif_format_parses(self, capsys):
-        assert main(
-            ["--select", "R6", "--format", "sarif", str(FLOW / "r6_leak.py")]
-        ) == 1
-        sarif = json.loads(capsys.readouterr().out)
-        assert sarif["version"] == "2.1.0"
-        results = sarif["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["R6"] * 4
-        assert {r["locations"][0]["physicalLocation"]["region"]["startLine"]
-                for r in results} == {9, 13, 17, 23}
-        driver_rules = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"R1", "R5", "R6", "R7"} <= driver_rules
-
     def test_show_source_prints_snippet_and_caret(self, capsys):
         assert main(
             ["--select", "R5", "--show-source", str(FLOW / "r5_leak.py")]
@@ -316,40 +302,7 @@ class TestCli:
         assert "link.reserve(flow_id, bw)" in out
         assert "^" in out
 
-    def test_baseline_workflow(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        fixture = str(FLOW / "r5_leak.py")
-        # Record the current findings...
-        assert main(
-            ["--select", "R5", "--baseline", str(baseline), "--update-baseline",
-             fixture]
-        ) == 0
-        recorded = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(recorded["findings"]) == 3
-        # ...after which the same findings are hidden and the run is clean.
-        capsys.readouterr()
-        assert main(
-            ["--select", "R5", "--baseline", str(baseline), fixture]
-        ) == 0
-        assert "3 baselined findings hidden" in capsys.readouterr().err
-        # A new finding (different rule set) still fails the gate.
-        assert main(
-            ["--select", "R5,R6", "--baseline", str(baseline),
-             fixture, str(FLOW / "r6_leak.py")]
-        ) == 1
-
-    def test_update_baseline_requires_baseline(self):
-        assert main(["--update-baseline", str(FLOW / "r5_clean.py")]) == 2
-
 
 class TestShippedTreeIsFlowClean:
     def test_flow_rules_pass_on_src(self):
         assert main(["--select", "R5,R6,R7", str(REPO_ROOT / "src" / "repro")]) == 0
-
-    def test_committed_baseline_is_empty(self):
-        # The shipped gate runs without suppressed debt: the committed
-        # baseline must stay empty (delete entries as they are fixed).
-        baseline = json.loads(
-            (REPO_ROOT / "lint-baseline.json").read_text(encoding="utf-8")
-        )
-        assert baseline == {"version": 1, "findings": []}

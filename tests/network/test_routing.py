@@ -6,12 +6,10 @@ import pytest
 from repro.network.routing import (
     Route,
     RouteTable,
-    all_shortest_path_lengths,
     feasible_path,
-    k_shortest_paths,
     shortest_path,
 )
-from repro.network.topologies import line, mci_backbone, star
+from repro.network.topologies import line, mci_backbone
 from repro.network.topology import Network, NetworkError
 
 
@@ -87,51 +85,6 @@ class TestFeasiblePath:
         net.link(0, 1).release("f")
         net.link(0, 1).reserve("f", net.link(0, 1).capacity_bps)
         assert feasible_path(net, 0, 2, bandwidth_bps=1.0) is None
-
-
-class TestAllShortestPathLengths:
-    def test_line_distances(self):
-        net = line(4)
-        distances = all_shortest_path_lengths(net, 0)
-        assert distances == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_star_distances(self):
-        net = star(4)
-        distances = all_shortest_path_lengths(net, 1)
-        assert distances[0] == 1
-        assert distances[2] == 2
-
-
-class TestKShortestPaths:
-    def test_returns_distinct_loop_free_paths(self):
-        net = build_diamond()
-        paths = k_shortest_paths(net, 0, 3, k=3)
-        assert paths[0] == [0, 1, 3]
-        assert paths[1] == [0, 2, 3]
-        assert len(paths) == 2  # only two loop-free paths exist
-        for path in paths:
-            assert len(set(path)) == len(path)
-
-    def test_k_one_equals_shortest(self):
-        net = mci_backbone()
-        assert k_shortest_paths(net, 1, 8, k=1) == [shortest_path(net, 1, 8)]
-
-    def test_paths_sorted_by_length(self):
-        net = mci_backbone()
-        paths = k_shortest_paths(net, 1, 12, k=5)
-        lengths = [len(p) for p in paths]
-        assert lengths == sorted(lengths)
-
-    def test_invalid_k(self):
-        net = build_diamond()
-        with pytest.raises(ValueError):
-            k_shortest_paths(net, 0, 3, k=0)
-
-    def test_unreachable_returns_empty(self):
-        net = Network()
-        net.add_link(0, 1, capacity_bps=1.0)
-        net.add_node(9)
-        assert k_shortest_paths(net, 0, 9, k=3) == []
 
 
 class TestRoute:

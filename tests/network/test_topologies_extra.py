@@ -3,30 +3,11 @@
 import networkx as nx
 import pytest
 
-from repro.network.topologies import (
-    ABILENE_EDGES,
-    abilene,
-    binary_tree,
-    dumbbell,
-    ring,
-)
+from repro.network.topologies import dumbbell, ring
 
 
 def undirected(network):
     return network.to_networkx().to_undirected()
-
-
-class TestAbilene:
-    def test_eleven_nodes(self):
-        net = abilene()
-        assert net.node_count == 11
-        assert net.link_count == 2 * len(ABILENE_EDGES)
-
-    def test_connected(self):
-        assert nx.is_connected(undirected(abilene()))
-
-    def test_no_duplicate_edges(self):
-        assert len(set(map(frozenset, ABILENE_EDGES))) == len(ABILENE_EDGES)
 
 
 class TestRing:
@@ -44,26 +25,6 @@ class TestRing:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             ring(2)
-
-
-class TestBinaryTree:
-    def test_node_count(self):
-        assert binary_tree(1).node_count == 3
-        assert binary_tree(3).node_count == 15
-
-    def test_is_a_tree(self):
-        graph = undirected(binary_tree(3))
-        assert nx.is_tree(graph)
-
-    def test_leaf_degrees(self):
-        net = binary_tree(2)  # 7 nodes; leaves are 3..6
-        for leaf in (3, 4, 5, 6):
-            assert net.degree(leaf) == 1
-        assert net.degree(0) == 2
-
-    def test_invalid_depth(self):
-        with pytest.raises(ValueError):
-            binary_tree(0)
 
 
 class TestDumbbell:

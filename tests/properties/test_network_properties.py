@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.link import InsufficientBandwidthError, Link
-from repro.network.routing import RouteTable, k_shortest_paths, shortest_path
+from repro.network.routing import RouteTable, shortest_path
 from repro.network.topologies import waxman_random
 from repro.network.topology import Network
 
@@ -102,26 +102,6 @@ class TestRoutingProperties:
         # Every consecutive pair is an actual link.
         for u, v in zip(ours, ours[1:]):
             assert net.has_link(u, v)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n=st.integers(min_value=4, max_value=15),
-        seed=st.integers(min_value=0, max_value=1000),
-        k=st.integers(min_value=1, max_value=5),
-    )
-    def test_k_shortest_paths_are_valid_and_distinct(self, n, seed, k):
-        net = waxman_random(n, seed=seed)
-        paths = k_shortest_paths(net, 0, n - 1, k)
-        assert 1 <= len(paths) <= k
-        seen = set()
-        for path in paths:
-            key = tuple(path)
-            assert key not in seen
-            seen.add(key)
-            assert path[0] == 0 and path[-1] == n - 1
-            assert len(set(path)) == len(path)  # loop-free
-            for u, v in zip(path, path[1:]):
-                assert net.has_link(u, v)
 
     @settings(max_examples=20, deadline=None)
     @given(
