@@ -27,11 +27,17 @@ Retrial interplay: within one request, destinations already tried and
 refused are excluded and the remaining weights renormalized (the paper
 caps ``R`` at the group size, implying sampling without replacement).
 The ablation flag on the AC-router can disable exclusion.
+
+A draw reads a cumulative table (:func:`cumulative_table`): the
+candidates and the running sums of their weights.  ED and WD/D have
+fixed weights, so they build one table per refused set and keep it;
+the other selectors build one per draw from their live weights.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -53,6 +59,9 @@ from repro.network.topology import Network
 from repro.sim.random_streams import RandomStream
 
 NodeId = Hashable
+
+#: A draw table: the candidate members and their cumulative weights.
+Table = tuple[Sequence[NodeId], list[float]]
 
 #: Minimum fraction of its seed weight a failure-free member retains in
 #: WD/D+H, guarding against weights stranded at exactly zero (see the
@@ -131,6 +140,47 @@ def _renormalize(weights: Sequence[float]) -> list[float]:
     return [weight / total for weight in weights]
 
 
+def cumulative_table(
+    members: Sequence[NodeId],
+    weights: Sequence[float],
+    exclude: AbstractSet[NodeId] = frozenset(),
+) -> Table:
+    """The draw table of ``weights`` over the members not in ``exclude``.
+
+    Excluded members are dropped and the remaining weights renormalized
+    (uniformly when they are all zero).  The cumulative sums are the
+    left-to-right additions :meth:`RandomStream.weighted_choice` makes,
+    so a selector's draw picks what ``weighted_choice`` would over the
+    same candidates.  Weights must be non-negative with a positive,
+    finite sum.
+    """
+    if len(members) != len(weights):
+        raise ValueError(f"{len(members)} members but {len(weights)} weights")
+    if exclude:
+        candidates: list[NodeId] = []
+        kept: list[float] = []
+        for member, weight in zip(members, weights):
+            if member not in exclude:
+                candidates.append(member)
+                kept.append(weight)
+        if not candidates:
+            raise ValueError("all group members excluded")
+        members, weights = candidates, _renormalize(kept)
+    # One pass that checks and sums: for a few members it is faster than
+    # itertools.accumulate plus a min() check, and the live selectors
+    # build a table on every draw.
+    cumulative: list[float] = []
+    total = 0.0
+    for weight in weights:
+        if not weight >= 0:
+            raise ValueError(f"weights must be non-negative, got {weight}")
+        total += weight
+        cumulative.append(total)
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights need a positive, finite sum: {list(weights)}")
+    return members, cumulative
+
+
 class DestinationSelector(Protocol):
     """Interface the AC-router drives.
 
@@ -163,7 +213,7 @@ class DestinationSelector(Protocol):
 
 
 class _WeightedSelectorBase:
-    """Shared machinery: draw a member from a weight vector."""
+    """Shared machinery: draw a member from the live weight vector."""
 
     name = "base"
 
@@ -178,25 +228,43 @@ class _WeightedSelectorBase:
     def observe(self, member: NodeId, success: bool) -> None:
         """Default: stateless selectors ignore outcomes."""
 
+    def _table(self, exclude: AbstractSet[NodeId]) -> Table:
+        """The draw table for this selection: built from live weights."""
+        return cumulative_table(self._members, self.weights(), exclude)
+
     def select(
         self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
-        members = self._members
-        weights = self.weights()
-        if exclude:
-            candidates: list[NodeId] = []
-            candidate_weights: list[float] = []
-            for member, weight in zip(members, weights):
-                if member not in exclude:
-                    candidates.append(member)
-                    candidate_weights.append(weight)
-            if not candidates:
-                raise ValueError("all group members excluded")
-            return rng.weighted_choice(candidates, _renormalize(candidate_weights))
-        return rng.weighted_choice(members, weights)
+        # weighted_choice's variate and pick: the first running sum
+        # above uniform(0, total), else the last candidate.
+        candidates, cumulative = self._table(exclude)
+        index = bisect_right(cumulative, rng.uniform(0.0, cumulative[-1]))
+        if index == len(cumulative):
+            return candidates[-1]  # guard against floating-point edge at total
+        return candidates[index]
 
 
-class EvenDistribution(_WeightedSelectorBase):
+class _StaticWeightedSelector(_WeightedSelectorBase):
+    """A selector whose weights never change: one table per refused set.
+
+    The tables are built on first use; with ``K`` members there are at
+    most ``2**K - 1`` of them.
+    """
+
+    def __init__(self, context: SelectionContext) -> None:
+        super().__init__(context)
+        self._tables: dict[frozenset[NodeId], Table] = {}
+
+    def _table(self, exclude: AbstractSet[NodeId]) -> Table:
+        key = frozenset(exclude)
+        table = self._tables.get(key)
+        if table is None:
+            table = cumulative_table(self._members, self.weights(), key)
+            self._tables[key] = table
+        return table
+
+
+class EvenDistribution(_StaticWeightedSelector):
     """ED: every member equally likely, ``W_i = 1/K`` (eq. 2)."""
 
     name = "ED"
@@ -206,7 +274,7 @@ class EvenDistribution(_WeightedSelectorBase):
         return [1.0 / size] * size
 
 
-class DistanceWeighted(_WeightedSelectorBase):
+class DistanceWeighted(_StaticWeightedSelector):
     """WD/D: static inverse-distance weights (eq. 4).
 
     Not one of the paper's three headline algorithms; used as the

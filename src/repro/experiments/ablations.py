@@ -1,10 +1,11 @@
 """Ablation studies as reusable library functions.
 
+Each function runs one study; the CLI's ``ablation-*`` targets call
+them, and users can run the same studies with their own configurations
+(different topologies, loads, seeds) and get structured results back.
 The benchmarks under ``benchmarks/test_ablation_*.py`` assert the
-qualitative outcome of each study; these functions are the underlying
-implementations, exposed so users can run the same studies with their
-own configurations (different topologies, loads, seeds) and get
-structured results back.
+qualitative outcome of each study with their own sweeps; they do not
+call these functions.
 
 Every function takes an :class:`repro.experiments.config.
 ExperimentConfig` plus study-specific knobs and returns a mapping of

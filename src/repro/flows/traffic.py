@@ -7,10 +7,10 @@ uniformly from a designated source set (hosts at odd-ID routers in the
 MCI experiments).
 
 :class:`TrafficModel` turns a :class:`WorkloadSpec` into a stream of
-:class:`repro.flows.flow.FlowRequest` objects, either lazily (for the
-event-driven simulation) or eagerly (for analysis and tests).  All
-randomness is drawn from named streams of a
-:class:`repro.sim.random_streams.StreamFactory`, so identical seeds
+:class:`repro.flows.flow.FlowRequest` objects, one per
+:meth:`TrafficModel.next_request` call as the event-driven simulation
+asks for the next arrival.  All randomness is drawn from named streams
+of a :class:`repro.sim.random_streams.StreamFactory`, so identical seeds
 yield identical workloads.
 """
 
@@ -166,9 +166,3 @@ class TrafficModel:
         )
         self._next_flow_id += 1
         return request
-
-    def take(self, count: int) -> list[FlowRequest]:
-        """Generate exactly ``count`` requests (eager helper for tests)."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [self.next_request() for _ in range(count)]

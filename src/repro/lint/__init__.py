@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.lint.callgraph import CallGraph, build_callgraph
-from repro.lint.flowrules import FLOW_RULES, check_flow_source
+from repro.lint.flowrules import check_flow_source
 from repro.lint.rules import (
     ALL_RULES,
     Violation,

@@ -111,7 +111,8 @@ class TestDominance:
         gdi = GDIController(net_gdi, group)
         model = TrafficModel(spec, StreamFactory(2))
         dac_admitted = gdi_admitted = 0
-        for request in model.take(300):
+        for _ in range(300):
+            request = model.next_request()
             if dac.admit(request).admitted:
                 dac_admitted += 1
             if gdi.admit(request).admitted:

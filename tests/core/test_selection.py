@@ -9,6 +9,7 @@ from repro.core.selection import (
     EvenDistribution,
     SelectionContext,
     ShortestPathSelector,
+    cumulative_table,
     distance_weights,
 )
 from repro.flows.group import AnycastGroup
@@ -109,6 +110,82 @@ class TestDistanceWeighted:
         before = selector.weights()
         selector.observe(0, success=False)
         assert selector.weights() == before
+
+
+class FixedPoint:
+    """A stand-in stream whose ``uniform`` always returns ``point``."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def uniform(self, low, high):
+        assert low <= self.point <= high
+        return self.point
+
+
+class TestCumulativeTable:
+    def test_running_sums_of_renormalized_candidates(self):
+        members, cumulative = cumulative_table("abc", [1.0, 2.0, 1.0], {"b"})
+        assert list(members) == ["a", "c"]
+        assert cumulative == [0.5, 1.0]
+
+    def test_all_zero_candidates_are_uniform(self):
+        _, cumulative = cumulative_table("abc", [0.0, 2.0, 0.0], {"b"})
+        assert cumulative == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, -0.5], [0.0, 0.0], [1.0, float("nan")], [1e308, 1e308]]
+    )
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            cumulative_table("ab", weights)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            cumulative_table("ab", [1.0])
+
+    @pytest.mark.parametrize(
+        "point, expected", [(0.0, 4), (0.5, 4), (1.0, 12), (2.0, 16)]
+    )
+    def test_boundary_points_pick_like_weighted_choice(self, point, expected):
+        # weighted_choice picks the first item whose running sum exceeds
+        # the point, and the last item when none does.
+        members = (0, 4, 8, 12, 16)
+        selector = DistanceBandwidthWeighted(make_context(mci_backbone(), 1, members))
+        selector.weights = lambda: [0.0, 1.0, 0.0, 1.0, 0.0]
+        assert selector.select(FixedPoint(point)) == expected
+
+
+class TestStaticTables:
+    """ED and WD/D build one draw table per refused set and keep it."""
+
+    @pytest.mark.parametrize("selector_class", [EvenDistribution, DistanceWeighted])
+    def test_one_table_per_refused_set(self, selector_class, rng):
+        members = (0, 4, 8, 12, 16)
+        selector = selector_class(make_context(mci_backbone(), 1, members))
+        weights = selector.weights
+        calls = []
+        selector.weights = lambda: calls.append(1) or weights()
+        refused_sets = [set(), {0}, {0, 8}, {4, 8, 12, 16}]
+        for _ in range(20):
+            for refused in refused_sets:
+                assert selector.select(rng, exclude=refused) not in refused
+        assert len(calls) == len(refused_sets)
+
+    @pytest.mark.parametrize("selector_class", [EvenDistribution, DistanceWeighted])
+    def test_cached_table_draws_like_a_fresh_selector(self, selector_class):
+        members = (0, 4, 8, 12, 16)
+        context = make_context(mci_backbone(), 1, members)
+        warm = selector_class(context)
+        refused = {4, 12}
+        warm.select(StreamFactory(1).stream("warm-up"), exclude=refused)
+        warm_rng = StreamFactory(3).stream("s")
+        fresh_rng = StreamFactory(3).stream("s")
+        for _ in range(200):
+            fresh = selector_class(context)
+            assert warm.select(warm_rng, exclude=refused) == fresh.select(
+                fresh_rng, exclude=refused
+            )
 
 
 class TestDistanceHistoryWeighted:

@@ -22,14 +22,15 @@ class TestSourceWeights:
         spec = make_spec(source_weights=(8.0, 1.0, 1.0))
         model = TrafficModel(spec, StreamFactory(1))
         counts = {1: 0, 3: 0, 5: 0}
-        for request in model.take(5000):
+        for _ in range(5000):
+            request = model.next_request()
             counts[request.source] += 1
         assert counts[1] / 5000 == pytest.approx(0.8, abs=0.03)
 
     def test_zero_weight_source_never_chosen(self):
         spec = make_spec(source_weights=(1.0, 0.0, 1.0))
         model = TrafficModel(spec, StreamFactory(2))
-        assert all(r.source != 3 for r in model.take(500))
+        assert all(model.next_request().source != 3 for _ in range(500))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

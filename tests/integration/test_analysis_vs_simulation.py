@@ -26,7 +26,7 @@ from repro.sim.simulation import run_simulation
 pytestmark = pytest.mark.slow  # minutes-long simulations; skip with -m 'not slow'
 
 
-def compare(network_factory, workload, spec, seed=55, tolerance=0.03):
+def analyse_and_simulate(network_factory, workload, spec, seed=55):
     analysis = analyze_system(network_factory(), workload, spec)
     simulation = run_simulation(
         network_factory=network_factory,
@@ -36,10 +36,19 @@ def compare(network_factory, workload, spec, seed=55, tolerance=0.03):
         measure_s=800.0,
         seed=seed,
     )
+    return analysis, simulation
+
+
+def assert_ap_matches(analysis, simulation, label, tolerance):
     assert analysis.converged
     assert simulation.admission_probability == pytest.approx(
         analysis.admission_probability, abs=tolerance
-    ), f"{spec.label}: sim={simulation.admission_probability:.4f} vs analysis={analysis.admission_probability:.4f}"
+    ), f"{label}: sim={simulation.admission_probability:.4f} vs analysis={analysis.admission_probability:.4f}"
+
+
+def compare(network_factory, workload, spec, seed=55, tolerance=0.03):
+    analysis, simulation = analyse_and_simulate(network_factory, workload, spec, seed)
+    assert_ap_matches(analysis, simulation, spec.label, tolerance)
     return analysis, simulation
 
 
@@ -66,27 +75,20 @@ class TestSpBaseline:
         compare(mci_backbone, mci_workload(rate), SystemSpec("SP"))
 
 
-class TestRetrialExtension:
-    def test_ed_with_two_retrials(self):
-        compare(
-            mci_backbone,
-            mci_workload(35.0),
-            SystemSpec("ED", retrials=2),
-            tolerance=0.04,
-        )
+@pytest.fixture(scope="module")
+def ed_two_retrials():
+    """``<ED,2>`` at 35 req/s on MCI, analysed and simulated once (seed 55)."""
+    spec = SystemSpec("ED", retrials=2)
+    return spec, *analyse_and_simulate(mci_backbone, mci_workload(35.0), spec)
 
-    def test_mean_attempts_match(self):
-        workload = mci_workload(35.0)
-        spec = SystemSpec("ED", retrials=2)
-        analysis = analyze_system(mci_backbone(), workload, spec)
-        simulation = run_simulation(
-            network_factory=mci_backbone,
-            system_spec=spec,
-            workload=workload,
-            warmup_s=200.0,
-            measure_s=800.0,
-            seed=77,
-        )
+
+class TestRetrialExtension:
+    def test_ed_with_two_retrials(self, ed_two_retrials):
+        spec, analysis, simulation = ed_two_retrials
+        assert_ap_matches(analysis, simulation, spec.label, tolerance=0.04)
+
+    def test_mean_attempts_match(self, ed_two_retrials):
+        _, analysis, simulation = ed_two_retrials
         assert simulation.mean_attempts == pytest.approx(
             analysis.mean_attempts, abs=0.1
         )

@@ -6,7 +6,7 @@ state; these tests drive the selectors through arbitrary observation
 sequences.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.selection import (
@@ -154,3 +154,56 @@ class TestSelectionRespectsExclusion:
         ):
             for _ in range(10):
                 assert selector.select(rng, exclude=frozenset({member})) != member
+
+
+def renormalized_choice(rng, members, weights, exclude):
+    """``weighted_choice`` over the members not in ``exclude``, renormalized."""
+    if not exclude:
+        return rng.weighted_choice(members, weights)
+    candidates = [m for m in members if m not in exclude]
+    kept = [w for m, w in zip(members, weights) if m not in exclude]
+    total = sum(kept)
+    if total <= 0:
+        return rng.weighted_choice(candidates, [1.0 / len(kept)] * len(kept))
+    return rng.weighted_choice(candidates, [w / total for w in kept])
+
+
+@st.composite
+def weights_and_exclusions(draw):
+    """A weight vector with zeros, and a refused set leaving one member."""
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1, max_size=8
+        )
+    )
+    excluded = draw(
+        st.sets(st.integers(1, len(weights)), max_size=len(weights) - 1)
+    )
+    assume(excluded or sum(weights) > 0)
+    return weights, frozenset(excluded)
+
+
+class TestTableDrawMatchesWeightedChoice:
+    """A selector's table draw is ``weighted_choice`` over the renormalized
+    candidates: same member, same variate, same stream state after."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=weights_and_exclusions(),
+        seed=st.integers(min_value=0, max_value=2**31),
+        selector_class=st.sampled_from([DistanceWeighted, DistanceBandwidthWeighted]),
+    )
+    def test_same_member_and_stream_state(self, case, seed, selector_class):
+        weights, excluded = case
+        _, context = make_star_context(len(weights))
+        selector = selector_class(context)
+        # Static (cached) and live (per-draw) tables of these weights.
+        selector.weights = lambda: list(weights)
+        table_rng = StreamFactory(seed).stream("table")
+        chain_rng = StreamFactory(seed).stream("table")
+        for _ in range(25):
+            assert selector.select(table_rng, exclude=excluded) == renormalized_choice(
+                chain_rng, context.group.members, weights, excluded
+            )
+        assert table_rng.draws == chain_rng.draws
+        assert table_rng.uniform() == chain_rng.uniform()
