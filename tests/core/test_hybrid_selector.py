@@ -9,7 +9,8 @@ from repro.core.selection import (
 )
 from repro.flows.group import AnycastGroup
 from repro.network.routing import RouteTable
-from repro.network.topologies import line
+from repro.network.state import LiveBandwidthView, SnapshotBandwidthView
+from repro.network.topologies import MCI_GROUP_MEMBERS, line, mci_backbone
 
 
 def make_context(network=None, source=2, members=(0, 4)):
@@ -66,6 +67,35 @@ class TestWeights:
             member = hybrid.select(rng)
             hybrid.observe(member, success=(i % 2 == 0))
             assert sum(hybrid.weights()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_weights_equal_view_scores_on_loaded_network(self, snapshot):
+        network = mci_backbone()
+        group = AnycastGroup("A", MCI_GROUP_MEMBERS)
+        routes = RouteTable(network, 1, MCI_GROUP_MEMBERS)
+        context = SelectionContext(network=network, routes=routes, group=group)
+        # Load each member's last hop; the route to member 8 is full.
+        for n, (route, load) in enumerate(
+            zip(routes.routes(), [0.0, 0.5, 1.0, 0.25, 0.9])
+        ):
+            last = route.resolve_links(network)[-1]
+            assert network.reserve_links([last], f"f{n}", load * last.capacity_bps)
+        view = (
+            SnapshotBandwidthView(network, clock=lambda: 0.0, refresh_period_s=1.0)
+            if snapshot
+            else None
+        )
+        hybrid = HybridWeighted(context, alpha=0.5, view=view)
+        for member, success in [(8, False), (8, False), (12, False), (0, True)]:
+            hybrid.observe(member, success)
+        live = LiveBandwidthView(network)
+        scores = [
+            (max(0.0, live.route_available_bps(route)) / route.distance) * 0.5**h
+            for route, h in zip(routes.routes(), hybrid.history.counters())
+        ]
+        assert 0.0 in scores and len(set(scores)) == len(scores)
+        total = sum(scores)
+        assert hybrid.weights() == [score / total for score in scores]
 
     def test_invalid_alpha(self):
         _, context = make_context()

@@ -151,7 +151,7 @@ class TestCumulativeTable:
         # weighted_choice picks the first item whose running sum exceeds
         # the point, and the last item when none does.
         members = (0, 4, 8, 12, 16)
-        selector = DistanceBandwidthWeighted(make_context(mci_backbone(), 1, members))
+        selector = DistanceHistoryWeighted(make_context(mci_backbone(), 1, members))
         selector.weights = lambda: [0.0, 1.0, 0.0, 1.0, 0.0]
         assert selector.select(FixedPoint(point)) == expected
 

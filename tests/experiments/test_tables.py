@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.analysis.erlang import uaa_blocking
+from repro.analysis.admission import analyze_system
+from repro.analysis.erlang import erlang_b, uaa_blocking
+from repro.core.system import SystemSpec
 from repro.experiments.config import quick_config
 from repro.experiments.tables import ALL_TABLES, table1, table2
 
@@ -73,13 +75,40 @@ class TestTable2:
 
 
 class TestUaaPathway:
+    def test_uaa_analysis_matches_simulation(self, mini_config, tab1):
+        # The simulated column does not depend on the blocking function,
+        # so the UAA analysis is compared against tab1's simulations.
+        network = mini_config.network_factory()()
+        spec = SystemSpec("ED", retrials=1)
+        gaps = [
+            abs(
+                analyze_system(
+                    network,
+                    mini_config.workload(rate),
+                    spec,
+                    blocking_function=uaa_blocking,
+                ).admission_probability
+                - simulated
+            )
+            for rate, simulated in zip(_SCALED_RATES, tab1.simulation)
+        ]
+        assert max(gaps) < 0.05
+
     def test_uaa_blocking_function_accepted(self, mini_config):
-        result = table1(
-            mini_config,
-            blocking_function=uaa_blocking,
-            arrival_rates=_SCALED_RATES,
+        # table1 passes its blocking_function to the analysis column.
+        short = mini_config.scaled(warmup_s=10.0, measure_s=20.0)
+        rate = _SCALED_RATES[-1]
+        result = table1(short, blocking_function=uaa_blocking, arrival_rates=(rate,))
+        network = short.network_factory()()
+        spec = SystemSpec("ED", retrials=1)
+        uaa, exact = (
+            analyze_system(
+                network, short.workload(rate), spec, blocking_function=blocking
+            ).admission_probability
+            for blocking in (uaa_blocking, erlang_b)
         )
-        assert result.max_absolute_gap < 0.05
+        assert uaa != exact
+        assert result.analysis == (uaa,)
 
 
 class TestRegistry:
