@@ -6,7 +6,7 @@ designated recipients.  This library implements the paper's
 Distributed Admission Control (DAC) procedure — randomized,
 weight-driven destination selection, RSVP-style resource reservation
 and counter-based retrial control — together with every substrate the
-evaluation needs: a process-oriented discrete-event simulator, a
+evaluation needs: an event-scheduled discrete-event simulator, a
 capacitated network model with the 19-node MCI backbone, baseline
 systems (SP and the idealized GDI), and the reduced-load / fixed-point
 mathematical analysis of the appendix.

@@ -43,9 +43,8 @@ class GDIController:
     def __init__(self, network: Network, group: AnycastGroup) -> None:
         self.network = network
         self.group = group
+        #: lifetime decision count
         self.requests_seen = 0
-        self.requests_admitted = 0
-        self.total_attempts = 0
 
     def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
         """Admit iff any member is reachable over links with room.
@@ -60,7 +59,6 @@ class GDIController:
             )
         decided_at = request.arrival_time if now is None else now
         self.requests_seen += 1
-        self.total_attempts += 1
         best_path: Optional[list[NodeId]] = None
         for member in self.group.members:
             path = feasible_path(
@@ -81,7 +79,6 @@ class GDIController:
         )
         if not reserved:  # pragma: no cover - feasible_path guarantees room
             raise RuntimeError("feasible path refused reservation")
-        self.requests_admitted += 1
         flow = AdmittedFlow(
             request=request,
             destination=best_path[-1],
@@ -103,20 +100,6 @@ class GDIController:
             return
         self.network.release_path(flow.path, flow.flow_id)
         flow.released = True
-
-    @property
-    def admission_ratio(self) -> float:
-        """Fraction of seen requests admitted (0 when none seen)."""
-        if self.requests_seen == 0:
-            return 0.0
-        return self.requests_admitted / self.requests_seen
-
-    @property
-    def mean_attempts(self) -> float:
-        """Always 1.0 per request once any request has been seen."""
-        if self.requests_seen == 0:
-            return 0.0
-        return self.total_attempts / self.requests_seen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GDIController(group={self.group.address!r}, seen={self.requests_seen})"

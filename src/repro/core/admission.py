@@ -38,8 +38,8 @@ FlowId = Hashable
 class ReservationEngine(Protocol):
     """What the AC-router needs from a reservation engine.
 
-    Satisfied by :class:`AtomicReservationEngine` and by the
-    fault-aware wrapper in :mod:`repro.network.faults`.
+    Satisfied by :class:`AtomicReservationEngine` and its fault-aware
+    subclass in :mod:`repro.network.faults`.
     """
 
     def try_reserve(
@@ -166,10 +166,8 @@ class ACRouter:
         )
         self.resample_failed = resample_failed
         self.routes = routes
-        # Lifetime counters for reporting.
+        #: lifetime decision count
         self.requests_seen = 0
-        self.requests_admitted = 0
-        self.total_attempts = 0
 
     def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
         """Run the DAC procedure for ``request``.
@@ -224,7 +222,6 @@ class ACRouter:
         attempts = len(tried)
         flow: Optional[AdmittedFlow] = None
         if success:
-            self.requests_admitted += 1
             flow = AdmittedFlow(
                 request=request,
                 destination=destination,
@@ -244,7 +241,6 @@ class ACRouter:
                 group_size=self.group.size,
             ):
                 return None
-        self.total_attempts += attempts
         return AdmissionResult(
             request=request,
             flow=flow,
@@ -259,20 +255,6 @@ class ACRouter:
             return
         self.reservation.release(flow.path, flow.flow_id)
         flow.released = True
-
-    @property
-    def admission_ratio(self) -> float:
-        """Fraction of seen requests admitted (0 when none seen)."""
-        if self.requests_seen == 0:
-            return 0.0
-        return self.requests_admitted / self.requests_seen
-
-    @property
-    def mean_attempts(self) -> float:
-        """Average destinations tried per request (0 when none seen)."""
-        if self.requests_seen == 0:
-            return 0.0
-        return self.total_attempts / self.requests_seen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

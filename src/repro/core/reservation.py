@@ -62,13 +62,6 @@ class AtomicReservationEngine:
         """Tear down a flow's reservation along ``path``."""
         self.network.release_path(path, flow_id)
 
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of reservation attempts refused (0 when untried)."""
-        if self.attempts == 0:
-            return 0.0
-        return self.failures / self.attempts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AtomicReservationEngine(attempts={self.attempts}, "

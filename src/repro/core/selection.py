@@ -356,17 +356,13 @@ class DistanceHistoryWeighted(_WeightedSelectorBase):
         adjustable = sum(
             weight * (1.0 - d) for weight, d in zip(current, decay)
         )
-        clean = [i for i, h in enumerate(counters) if h == 0]
+        clean = counters.count(0)
         updated: list[float] = []
-        for i, (weight, h) in enumerate(zip(current, counters)):
+        for weight, h, d, floor in zip(current, counters, decay, self._floors):
             if h != 0:
-                updated.append(weight * decay[i])
-            elif clean:
-                updated.append(
-                    max(weight + adjustable / len(clean), self._floors[i])
-                )
-            else:  # unreachable branch guard: h == 0 implies i in clean
-                updated.append(weight)
+                updated.append(weight * d)
+            else:  # h == 0, so clean >= 1
+                updated.append(max(weight + adjustable / clean, floor))
         if sum(updated) <= 0:
             updated = list(self._seed_weights)
         self._weights = _renormalize(updated)

@@ -119,8 +119,7 @@ class AdmissionSystem:
     """A complete admission-control system bound to one network.
 
     Routes requests to the AC-router of their source (or the single
-    global controller for GDI) and aggregates the counters the
-    experiment harness reads.
+    global controller for GDI).
     """
 
     def __init__(
@@ -156,40 +155,6 @@ class AdmissionSystem:
     def release(self, flow: AdmittedFlow) -> None:
         """Tear down an admitted flow."""
         self.controller_for(flow.request.source).release(flow)
-
-    # ------------------------------------------------------------------
-    # aggregated reporting
-    # ------------------------------------------------------------------
-    def _all_controllers(self) -> "list[ACRouter | GDIController]":
-        if self._global_controller is not None:
-            return [self._global_controller]
-        return list(self._controllers.values())
-
-    @property
-    def requests_seen(self) -> int:
-        """Requests processed across all controllers."""
-        return sum(c.requests_seen for c in self._all_controllers())
-
-    @property
-    def requests_admitted(self) -> int:
-        """Requests admitted across all controllers."""
-        return sum(c.requests_admitted for c in self._all_controllers())
-
-    @property
-    def admission_ratio(self) -> float:
-        """Overall fraction of requests admitted."""
-        seen = self.requests_seen
-        if seen == 0:
-            return 0.0
-        return self.requests_admitted / seen
-
-    @property
-    def mean_attempts(self) -> float:
-        """Average destinations tried per request, all controllers."""
-        seen = self.requests_seen
-        if seen == 0:
-            return 0.0
-        return sum(c.total_attempts for c in self._all_controllers()) / seen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AdmissionSystem({self.spec.label}, network={self.network.name!r})"

@@ -5,10 +5,13 @@ there exists at least one functioning path", noting that "our approach
 can be extended to deal with the situation when this assumption does
 not hold".  This module implements that extension:
 
-* :meth:`Network`-level fault state is kept *here*, not in the links,
-  so the capacity model stays untouched: a failed link simply refuses
-  new reservations and reports zero available bandwidth through the
-  :class:`FaultyNetworkView` wrapper.
+* Fault state is kept *here* (:class:`FaultState`), not in the links,
+  so the capacity model stays untouched.  Failing a cable empties both
+  of its links' ledgers; only :class:`FaultAwareReservationEngine`
+  consults the fault state, refusing any route that crosses a failed
+  cable.  The bandwidth views of :mod:`repro.network.state` read the
+  links alone, so they report a failed link as idle (full capacity
+  available) until it is repaired.
 * Flows that were traversing a failed link are killed (their
   reservations released everywhere) — the behaviour of a hard RSVP
   state timeout.
@@ -36,6 +39,7 @@ from typing import (
     Sequence,
 )
 
+from repro.core.reservation import AtomicReservationEngine
 from repro.network.topology import Network
 from repro.sim.engine import Event, Simulator
 from repro.sim.random_streams import RandomStream
@@ -144,41 +148,30 @@ class FaultState:
         self.events.append(FaultEvent(time=now, link=(u, v), failed=False))
 
 
-class FaultAwareReservationEngine:
+class FaultAwareReservationEngine(AtomicReservationEngine):
     """Reservation engine that refuses routes crossing failed cables.
 
-    Wraps :class:`repro.core.reservation.AtomicReservationEngine`
-    behaviour with a fault check, so AC-routers treat a failed link
-    exactly like a saturated one — the retrial mechanism then steers
-    requests to other group members, which is the paper's suggested
-    fault-handling extension.
+    An :class:`repro.core.reservation.AtomicReservationEngine` with a
+    fault check, so AC-routers treat a failed link exactly like a
+    saturated one — the retrial mechanism then steers requests to other
+    group members, which is the paper's suggested fault-handling
+    extension.  A refusal on a failed cable counts as an attempt and a
+    failure.
     """
 
     def __init__(self, network: Network, faults: FaultState) -> None:
-        from repro.core.reservation import AtomicReservationEngine
-
+        super().__init__(network)
         self.faults = faults
-        self._inner = AtomicReservationEngine(network)
-
-    @property
-    def attempts(self) -> int:
-        """Reservation attempts made."""
-        return self._inner.attempts
-
-    @property
-    def failures(self) -> int:
-        """Attempts refused (saturation or fault)."""
-        return self._inner.failures
 
     def try_reserve(
         self, route: "Route", flow_id: FlowId, bandwidth_bps: float
     ) -> bool:
         """Reserve unless saturated *or* the route crosses a failure."""
         if not self.faults.path_is_up(route.path):
-            self._inner.attempts += 1
-            self._inner.failures += 1
+            self.attempts += 1
+            self.failures += 1
             return False
-        return self._inner.try_reserve(route, flow_id, bandwidth_bps)
+        return super().try_reserve(route, flow_id, bandwidth_bps)
 
     def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
         """Release surviving reservations of a flow along ``path``.
@@ -186,7 +179,7 @@ class FaultAwareReservationEngine:
         After a fault some links may already have dropped the flow, so
         this releases only where the reservation still exists.
         """
-        for link in self._inner.network.path_links(path):
+        for link in self.network.path_links(path):
             link.release_if_held(flow_id)
 
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Hashable, Protocol, Sequence
 
-from repro import invariants
-from repro.network.link import Link, LinkStateArrays
+from repro.network.link import LinkStateArrays
 from repro.network.topology import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,25 +36,7 @@ __all__ = [
     "LinkStateArrays",
     "LiveBandwidthView",
     "SnapshotBandwidthView",
-    "verify_link",
-    "verify_network",
 ]
-
-
-def verify_link(link: Link) -> None:
-    """Assert one link's accounting invariants (always runs).
-
-    Unconditional wrapper around :func:`repro.invariants.check_link`
-    for tests and debugging sessions; the hot-path hooks inside the
-    link layer run the same check only when the sanitizer is enabled.
-    """
-    invariants.check_link(link)
-
-
-def verify_network(network: Network) -> None:
-    """Assert every link's invariants plus cross-link reserve/release
-    pairing (always runs); see :func:`repro.invariants.check_network`."""
-    invariants.check_network(network)
 
 
 class BandwidthView(Protocol):

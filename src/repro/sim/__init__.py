@@ -26,7 +26,6 @@ from repro.sim.stats import (
     TimeWeightedStats,
     confidence_interval,
 )
-from repro.sim.trace import FlowRecord, TraceRecorder
 
 # FaultConfig and the simulation classes live in repro.sim.simulation;
 # importing them here would recreate the sim <-> core import cycle, so
@@ -42,13 +41,11 @@ def __getattr__(name: str) -> Any:
 __all__ = [
     "BatchMeans",
     "Event",
-    "FlowRecord",
     "RandomStream",
     "RunningStats",
     "SimulationError",
     "Simulator",
     "StreamFactory",
     "TimeWeightedStats",
-    "TraceRecorder",
     "confidence_interval",
 ]

@@ -39,8 +39,6 @@ class MetricsCollector:
         self, clock: Callable[[], float], batch_size: int = 200
     ) -> None:
         self._clock = clock
-        self.requests = 0
-        self.admitted = 0
         self.attempts = RunningStats()
         self.retrials = RunningStats()
         self.admit_batches = BatchMeans(batch_size)
@@ -57,7 +55,6 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def record_decision(self, result: AdmissionResult) -> None:
         """Record an admission decision made inside the window."""
-        self.requests += 1
         self.attempts.record(result.attempts)
         self.retrials.record(result.retrials)
         self.attempt_histogram[result.attempts] += 1
@@ -66,7 +63,6 @@ class MetricsCollector:
         if result.admitted:
             flow = result.flow
             assert flow is not None  # admitted implies a granted flow
-            self.admitted += 1
             self.destination_counts[flow.destination] += 1
             self.source_admitted[result.request.source] += 1
 
@@ -84,11 +80,22 @@ class MetricsCollector:
     # reporting
     # ------------------------------------------------------------------
     @property
+    def requests(self) -> int:
+        """Decisions recorded in the measurement window."""
+        return sum(self.source_requests.values())
+
+    @property
+    def admitted(self) -> int:
+        """Admissions recorded in the measurement window."""
+        return sum(self.source_admitted.values())
+
+    @property
     def admission_probability(self) -> float:
         """AP over the measurement window (0 when no requests)."""
-        if self.requests == 0:
+        requests = self.requests
+        if requests == 0:
             return 0.0
-        return self.admitted / self.requests
+        return self.admitted / requests
 
     @property
     def mean_attempts(self) -> float:

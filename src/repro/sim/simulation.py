@@ -71,7 +71,6 @@ from repro.signaling.softstate import LeaseTable
 from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.sim.random_streams import StreamFactory
-from repro.sim.trace import TraceRecorder
 
 NodeId = Hashable
 
@@ -219,9 +218,6 @@ class AnycastSimulation:
         only.  Supported for the distributed systems; GDI's global path
         search would need fault-aware routing, which is out of the
         paper's scope.
-    trace:
-        Optional :class:`repro.sim.trace.TraceRecorder` capturing a
-        per-request record of every decision in the measurement window.
     chaos:
         Run on the signalled plane over a channel impaired as
         configured.  Needs a distributed system with an always-fresh
@@ -239,7 +235,6 @@ class AnycastSimulation:
         seed: int = 0,
         batch_size: int = 200,
         fault_config: Optional[FaultConfig] = None,
-        trace: Optional["TraceRecorder"] = None,
         chaos: Optional[ChaosConfig] = None,
     ) -> None:
         # Written so that NaN fails: an unbounded or NaN window would
@@ -341,7 +336,6 @@ class AnycastSimulation:
         self.metrics = MetricsCollector(
             clock=lambda: self.simulator.now, batch_size=batch_size
         )
-        self.trace = trace
         self._active: dict[int, tuple[AdmittedFlow, Event]] = {}
         self.flows_dropped_by_faults = 0
         self._decision_latency_total = 0.0
@@ -379,8 +373,6 @@ class AnycastSimulation:
         if result.request.arrival_time >= self.warmup_s:
             self.metrics.record_decision(result)
             self._decision_latency_total += latency_s
-            if self.trace is not None:
-                self.trace.record(result)
         if result.flow is not None:
             self.metrics.record_flow_start()
 

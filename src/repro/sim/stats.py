@@ -237,55 +237,6 @@ def _check_batch_size(batch_size: int) -> None:
         raise ValueError(f"batch size must be an integer >= 1, got {batch_size!r}")
 
 
-def mser_truncation(samples: Sequence[float], batch_size: int = 5) -> int:
-    """MSER-5 warm-up truncation point (White & Spratt).
-
-    The experiment configs fix the warm-up length a priori (the
-    paper's approach); this estimator determines it from data instead:
-    observations are averaged into batches of ``batch_size``, and the
-    truncation point ``d`` minimizes the *marginal standard error*
-
-        MSER(d) = variance of batches d..n  /  (n - d)
-
-    over the first half of the run (restricting to the first half is
-    the standard guard against the statistic collapsing at the tail).
-    Returns the number of **raw observations** to discard.
-
-    Example
-    -------
-    >>> warmup = [0.0] * 50
-    >>> steady = [1.0] * 200
-    >>> mser_truncation(warmup + steady) >= 50
-    True
-    """
-    _check_batch_size(batch_size)
-    batch_count = len(samples) // batch_size
-    if batch_count < 4:
-        return 0
-    batch_means = [
-        sum(samples[i * batch_size : (i + 1) * batch_size]) / batch_size
-        for i in range(batch_count)
-    ]
-    best_d = 0
-    best_score = math.inf
-    half = batch_count // 2
-    # Suffix sums from the right make each candidate O(1).
-    suffix_sum = [0.0] * (batch_count + 1)
-    suffix_sq = [0.0] * (batch_count + 1)
-    for i in range(batch_count - 1, -1, -1):
-        suffix_sum[i] = suffix_sum[i + 1] + batch_means[i]
-        suffix_sq[i] = suffix_sq[i + 1] + batch_means[i] ** 2
-    for d in range(half + 1):
-        n = batch_count - d
-        mean = suffix_sum[d] / n
-        variance = max(0.0, suffix_sq[d] / n - mean * mean)
-        score = variance / n
-        if score < best_score:
-            best_score = score
-            best_d = d
-    return best_d * batch_size
-
-
 def confidence_interval(
     samples: Sequence[float], level: float = 0.95
 ) -> tuple[float, float]:

@@ -127,9 +127,8 @@ class TestCounters:
         net = line(3, capacity_bps=64_000.0)
         group = AnycastGroup("A", (2,))
         controller = GDIController(net, group)
-        controller.admit(make_request(0, group, flow_id=1))
-        controller.admit(make_request(0, group, flow_id=2))  # rejected: full
+        first = controller.admit(make_request(0, group, flow_id=1))
+        second = controller.admit(make_request(0, group, flow_id=2))  # full
         assert controller.requests_seen == 2
-        assert controller.requests_admitted == 1
-        assert controller.admission_ratio == pytest.approx(0.5)
-        assert controller.mean_attempts == 1.0
+        assert first.admitted and not second.admitted
+        assert first.attempts == second.attempts == 1

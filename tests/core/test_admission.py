@@ -188,17 +188,13 @@ class TestRelease:
 class TestCounters:
     def test_router_statistics(self, network):
         router = make_router(network, members=(0,), retrials=1)
-        router.admit(make_request(flow_id=1, members=(0,)))
-        router.admit(make_request(flow_id=2, members=(0,)))  # rejected
+        first = router.admit(make_request(flow_id=1, members=(0,)))
+        second = router.admit(make_request(flow_id=2, members=(0,)))  # rejected
         assert router.requests_seen == 2
-        assert router.requests_admitted == 1
-        assert router.admission_ratio == pytest.approx(0.5)
-        assert router.mean_attempts == pytest.approx(1.0)
-
-    def test_fresh_router_ratios_zero(self, network):
-        router = make_router(network)
-        assert router.admission_ratio == 0.0
-        assert router.mean_attempts == 0.0
+        assert first.admitted and not second.admitted
+        assert first.attempts == second.attempts == 1
+        assert router.reservation.attempts == 2
+        assert router.reservation.failures == 1
 
 
 class TestHistoryIntegration:

@@ -89,7 +89,7 @@ class TestFaultAwareReservation:
         engine = FaultAwareReservationEngine(network, faults)
         faults.fail(1, 2)
         assert not engine.try_reserve(self.ROUTE, "f", 64_000.0)
-        assert engine.failures == 1
+        assert (engine.attempts, engine.failures) == (1, 1)
         assert network.total_reserved_bps() == 0.0
 
     def test_reserves_healthy_routes(self, network):

@@ -14,7 +14,6 @@ from repro.core.system import SystemSpec
 from repro.flows.group import AnycastGroup
 from repro.flows.traffic import WorkloadSpec
 from repro.network.faults import FaultState
-from repro.network.state import verify_network
 from repro.network.topologies import (
     MCI_GROUP_MEMBERS,
     MCI_SOURCES,
@@ -55,7 +54,7 @@ class TestFailRepairConservation:
         for path, flow_id in (([0, 1, 2, 3], "f1"), ([3, 2, 1, 0], "f2")):
             for link in network.path_links(path):
                 link.release_if_held(flow_id)
-        verify_network(network)
+        invariants.check_network(network)
         assert network.total_reserved_bps() == 0.0
 
     def test_repair_restores_service(self, sanitizer):
@@ -66,7 +65,7 @@ class TestFailRepairConservation:
         faults.repair(0, 1)
         assert not faults.is_down(0, 1)
         assert network.reserve_path([0, 1, 2], "f1", 100.0)
-        verify_network(network)
+        invariants.check_network(network)
         # Fail/repair transitions were both recorded for tracing.
         assert [event.failed for event in faults.events] == [True, False]
 
@@ -109,5 +108,5 @@ class TestFaultySimulationConservation:
         # Drain the departures that outlive the measurement horizon
         # (the injector is stopped, so the calendar empties).
         simulation.simulator.run()
-        verify_network(simulation.network)
+        invariants.check_network(simulation.network)
         assert simulation.network.total_reserved_bps() == 0.0

@@ -177,8 +177,9 @@ class TestEquivalenceWithAtomicRouter:
                     == atomic_result.flow.destination
                 )
                 held.append((atomic_result.flow, signalled_result.flow))
-        assert signalled.requests_admitted == atomic.requests_admitted
-        assert signalled.total_attempts == atomic.total_attempts
+        assert signalled.requests_seen == atomic.requests_seen
+        assert signalled.reservation.attempts == atomic.reservation.attempts
+        assert signalled.reservation.failures == atomic.reservation.failures
         assert (
             signalled_network.total_reserved_bps()
             == atomic_network.total_reserved_bps()

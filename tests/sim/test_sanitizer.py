@@ -14,7 +14,6 @@ import pytest
 
 from repro import invariants
 from repro.network.link import Link
-from repro.network.state import verify_link, verify_network
 from repro.network.topologies import line
 from repro.sim.engine import Simulator
 
@@ -64,33 +63,33 @@ class TestLinkChecks:
     def test_healthy_link_passes(self):
         link = Link("a", "b", 1000.0)
         link.reserve("f1", 400.0)
-        verify_link(link)
+        invariants.check_link(link)
 
     def test_negative_reserved_total_caught(self):
         link = Link("a", "b", 1000.0)
         link.state.reserved[link.index] = -5.0
         with pytest.raises(invariants.InvariantViolation):
-            verify_link(link)
+            invariants.check_link(link)
 
     def test_oversubscription_caught(self):
         link = Link("a", "b", 1000.0)
         link.reserve("f1", 400.0)
         link.state.reserved[link.index] = 2000.0
         with pytest.raises(invariants.InvariantViolation):
-            verify_link(link)
+            invariants.check_link(link)
 
     def test_ledger_column_disagreement_caught(self):
         link = Link("a", "b", 1000.0)
         link.reserve("f1", 400.0)
         link._reservations["f1"] = 100.0  # ledger no longer sums to column
         with pytest.raises(invariants.InvariantViolation):
-            verify_link(link)
+            invariants.check_link(link)
 
     def test_nan_reserved_caught(self):
         link = Link("a", "b", 1000.0)
         link.state.reserved[link.index] = float("nan")
         with pytest.raises(invariants.InvariantViolation):
-            verify_link(link)
+            invariants.check_link(link)
 
     def test_hot_path_hook_fires_when_enabled(self, sanitizer):
         link = Link("a", "b", 1000.0)
@@ -115,7 +114,7 @@ class TestNetworkChecks:
     def test_healthy_network_passes(self):
         network = line(4)
         assert network.reserve_path([0, 1, 2, 3], "f1", 100.0)
-        verify_network(network)
+        invariants.check_network(network)
 
     def test_unpaired_reservation_amount_caught(self):
         network = line(4)
@@ -126,7 +125,7 @@ class TestNetworkChecks:
         link._reservations["f1"] = 50.0
         link.state.reserved[link.index] -= 50.0
         with pytest.raises(invariants.InvariantViolation):
-            verify_network(network)
+            invariants.check_network(network)
 
 
 class TestTimeMonotonicity:

@@ -201,56 +201,6 @@ class TestConfidenceInterval:
         assert high - low == pytest.approx(2 * half, rel=1e-4)
 
 
-class TestMserTruncation:
-    def test_detects_obvious_transient(self):
-        from repro.sim.stats import mser_truncation
-
-        warmup = [10.0] * 60  # inflated transient
-        steady = [1.0, 1.1, 0.9, 1.0] * 100
-        cut = mser_truncation(warmup + steady)
-        assert 50 <= cut <= 120
-
-    def test_stationary_data_needs_no_truncation(self):
-        from repro.sim.stats import mser_truncation
-
-        data = [1.0, 1.2, 0.8, 1.1, 0.9] * 60
-        assert mser_truncation(data) <= 10
-
-    def test_short_series_returns_zero(self):
-        from repro.sim.stats import mser_truncation
-
-        assert mser_truncation([1.0, 2.0, 3.0]) == 0
-
-    def test_truncation_is_multiple_of_batch(self):
-        from repro.sim.stats import mser_truncation
-
-        data = [5.0] * 37 + [1.0] * 200
-        cut = mser_truncation(data, batch_size=5)
-        assert cut % 5 == 0
-
-    def test_never_cuts_past_half(self):
-        from repro.sim.stats import mser_truncation
-
-        data = list(range(100))  # drifting data, no steady state
-        cut = mser_truncation(data, batch_size=5)
-        assert cut <= 50
-
-    def test_invalid_batch_size(self):
-        import pytest as _pytest
-
-        from repro.sim.stats import mser_truncation
-
-        with _pytest.raises(ValueError):
-            mser_truncation([1.0], batch_size=0)
-
-    @pytest.mark.parametrize("batch_size", [math.nan, 2.5, 5.0])
-    def test_non_integral_batch_size_rejected(self, batch_size):
-        from repro.sim.stats import mser_truncation
-
-        with pytest.raises(ValueError):
-            mser_truncation([1.0] * 40, batch_size=batch_size)
-
-
 class TestStudentTQuantile:
     # Reference quantiles from mpmath 1.3 at 50 digits: findroot on
     # betainc(df/2, 1/2, 0, df/(df + t^2), regularized=True)/2 == 1 - p.

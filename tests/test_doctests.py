@@ -7,10 +7,12 @@ import pytest
 import repro.analysis.erlang
 import repro.flows.qos
 import repro.sim.engine
+import repro.sim.simulation
 import repro.sim.stats
 
 MODULES = [
     repro.sim.engine,
+    repro.sim.simulation,
     repro.sim.stats,
     repro.analysis.erlang,
     repro.flows.qos,
