@@ -113,7 +113,10 @@ class ExponentialBackoff:
     retransmissions of concurrent sessions do not stay synchronized.
     Jitter draws come from a dedicated :class:`RandomStream` so the
     schedule is deterministic under a fixed seed and perturbs no other
-    stream (common random numbers).
+    stream (common random numbers).  A sender whose message lands
+    before :meth:`floor` never needs the timeout: it counts it in
+    :attr:`skipped` instead of drawing it, and the next timeout drawn
+    reads the variate it would have read had every timeout been drawn.
 
     Parameters
     ----------
@@ -127,6 +130,8 @@ class ExponentialBackoff:
         Relative jitter amplitude in ``[0, 1)``; 0 disables jitter.
     rng:
         Random stream for jitter draws; required iff ``jitter > 0``.
+        Nothing else may draw from it: skipped timeouts are passed
+        over only when the next one is drawn.
     """
 
     def __init__(
@@ -159,18 +164,38 @@ class ExponentialBackoff:
         self.max_timeout_s = max_timeout_s
         self.jitter = jitter
         self._rng = rng
+        #: timeouts a sender skipped since the last one drawn; their
+        #: jitter variates are passed over (not drawn) before the next
+        self.skipped = 0
 
-    def timeout(self, attempt: int) -> float:
-        """Timeout (seconds) before retransmission number ``attempt``."""
+    def _base(self, attempt: int) -> float:
         if attempt < 0:
             raise ValueError(f"attempt must be non-negative, got {attempt}")
         base = self.initial_timeout_s * self.factor**attempt
         if base > self.max_timeout_s:
             base = self.max_timeout_s
-        if self.jitter > 0.0:
-            assert self._rng is not None  # enforced by the constructor
-            base *= 1.0 + self.jitter * (2.0 * self._rng.uniform() - 1.0)
         return base
+
+    def timeout(self, attempt: int) -> float:
+        """Timeout (seconds) before retransmission number ``attempt``."""
+        base = self._base(attempt)
+        if self.jitter > 0.0:
+            rng = self._rng
+            assert rng is not None  # enforced by the constructor
+            if self.skipped:
+                rng.pass_over(self.skipped)
+                self.skipped = 0
+            base *= 1.0 + self.jitter * (2.0 * rng.uniform() - 1.0)
+        return base
+
+    def floor(self, attempt: int) -> float:
+        """A lower bound on ``timeout(attempt)`` that draws nothing.
+
+        Exact in floating point: ``2.0 * u - 1.0 >= -1.0`` for every
+        variate ``u`` in ``[0, 1)``, and IEEE rounding is monotone, so
+        every jittered timeout is at least ``base * (1.0 - jitter)``.
+        """
+        return self._base(attempt) * (1.0 - self.jitter)
 
     def __repr__(self) -> str:
         return (

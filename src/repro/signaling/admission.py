@@ -121,7 +121,7 @@ class SignalledACRouter(ACRouter):
         if flow.released:
             return
         key = self._reservation_keys.pop(flow.flow_id)
-        self.reservation.release(flow.path, key)
+        self.reservation.release(self.routes.route_to(flow.destination), key)
         flow.released = True
 
 

@@ -17,13 +17,23 @@ Each impairment draws from its *own* :class:`RandomStream` so enabling
 one never perturbs the variate sequences of the others (common random
 numbers), and the whole channel is deterministic under a fixed seed.
 
+The loss stream is read ahead.  Transmission ``i`` is lost when the
+stream's ``i``-th unit uniform is below ``loss_rate``, but most are
+not, so instead of drawing one variate per transmission the channel
+asks the stream (:meth:`RandomStream.pass_over_at_least`) how many
+variates at or above ``loss_rate`` come before the next one below it,
+counts that gap down one kept transmission at a time, and draws only
+the variate that loses a message.  Every transmission meets the fate
+it would meet with one draw each; this is valid only because nothing
+else draws from the loss stream, so reading it ahead moves no other
+variate.
+
 A sender that needs to know whether a transmission will arrive before
 some deadline calls :meth:`SignalingChannel.plan` first: it draws the
 transmission's fate (loss, duplication, each copy's extra delay) and
 returns the copies' arrival delays, and the next
 :meth:`SignalingChannel.send` delivers exactly that fate.  A ``send``
-without a plan draws the fate itself.  Either way each stream sees the
-same draws in the same order, so planning changes no variate.
+without a plan draws the fate itself, so planning changes no fate.
 
 The perfect channel is the default and is guaranteed bit-identical to
 scheduling directly on the simulator: with all rates at zero,
@@ -66,7 +76,8 @@ class SignalingChannel:
     loss_rng / delay_rng / duplicate_rng:
         Dedicated random streams, required iff the matching rate is
         positive.  Keeping them separate preserves common random
-        numbers across impairment configurations.
+        numbers across impairment configurations; the loss stream must
+        be separate, as it is read ahead.
     """
 
     def __init__(
@@ -96,6 +107,11 @@ class SignalingChannel:
             raise ValueError("extra_delay_s > 0 requires delay_rng")
         if duplicate_rate > 0.0 and duplicate_rng is None:
             raise ValueError("duplicate_rate > 0 requires duplicate_rng")
+        if loss_rate > 0.0 and (
+            (extra_delay_s > 0.0 and delay_rng is loss_rng)
+            or (duplicate_rate > 0.0 and duplicate_rng is loss_rng)
+        ):
+            raise ValueError("the loss stream is read ahead and cannot be shared")
         self._simulator = simulator
         self.loss_rate = loss_rate
         self.extra_delay_s = extra_delay_s
@@ -110,6 +126,9 @@ class SignalingChannel:
         self.dropped = 0
         #: extra deliveries created by duplication
         self.duplicated = 0
+        # Transmissions kept before the next loss, or -1 when the loss
+        # stream has not been read ahead since the last one.
+        self._kept = -1
         # Arrival delays drawn by plan() for the next send(), if any.
         self._planned: Optional[tuple[float, ...]] = None
 
@@ -157,8 +176,18 @@ class SignalingChannel:
     def _draw_fate(self, delay_s: float) -> tuple[float, ...]:
         """Loss, duplication and extra delays of one transmission."""
         if self.loss_rate > 0.0:
-            assert self._loss_rng is not None  # enforced by the constructor
-            if self._loss_rng.uniform() < self.loss_rate:
+            kept = self._kept
+            if kept < 0:
+                assert self._loss_rng is not None  # enforced by the constructor
+                kept = self._loss_rng.pass_over_at_least(self.loss_rate)
+            if kept:
+                self._kept = kept - 1
+            else:
+                # Serve the variate below loss_rate that the scan stopped at.
+                assert self._loss_rng is not None
+                lost = self._loss_rng.uniform()
+                assert lost < self.loss_rate
+                self._kept = -1
                 self.dropped += 1
                 return ()
         first = self._copy_delay(delay_s)

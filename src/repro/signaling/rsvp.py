@@ -34,8 +34,13 @@ channel is paired with a
   deduplicate late or duplicated copies.  The session asks the channel
   for a transmission's fate before sending it and arms the timer only
   when it can fire: when no copy arrives strictly before the timeout.
-  A timer is scheduled before its own copies, so it wins an exact tie;
-  a timer that is never armed is one a copy would have cancelled;
+  A copy that lands before the backoff's floor (``base * (1 -
+  jitter)``, a lower bound on every jittered timeout) beats any
+  timeout, so the session draws no timeout for it and passes its
+  jitter variate over; the timeouts it does draw read the variates
+  they would read if every transmission drew one.  A timer is
+  scheduled before its own copies, so it wins an exact tie; a timer
+  that is never armed is one a copy would have cancelled;
 * when a transfer exhausts its retransmissions the session gives up:
   a PATH-phase loss behaves like a fail-fast PATH_ERR, a RESV-phase
   loss additionally starts a TEAR sweeping downstream to release the
@@ -50,7 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from repro.network.link import InsufficientBandwidthError
+from repro.network.link import InsufficientBandwidthError, Link
 from repro.network.routing import Route
 from repro.network.topology import Network
 from repro.signaling.channel import RetransmitPolicy, SignalingChannel
@@ -73,7 +78,7 @@ def _check_processing_delay(processing_delay_s: float) -> None:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReservationOutcome:
     """Result of one signalled reservation attempt.
 
@@ -108,6 +113,52 @@ class ReservationOutcome:
     retransmissions: int = 0
 
 
+class _Plane:
+    """What every session on one signalling plane shares, checked once.
+
+    A standalone :class:`RsvpSession` builds its own plane; a
+    :class:`SignalledReservationEngine` is the plane of all its
+    sessions, so the processing delay, the channel and the retransmit
+    policy are checked when the engine is built, not per attempt.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        network: Network,
+        processing_delay_s: float,
+        channel: Optional[SignalingChannel],
+        retransmit: Optional[RetransmitPolicy],
+        leases: Optional[LeaseTable],
+        on_tear_message: Optional[Callable[[], None]] = None,
+    ) -> None:
+        _check_processing_delay(processing_delay_s)
+        channel = channel if channel is not None else SignalingChannel(simulator)
+        if retransmit is None and (
+            channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0
+        ):
+            raise ValueError(
+                "a channel with loss or duplication requires a "
+                "RetransmitPolicy (timers recover losses and receivers "
+                "deduplicate copies)"
+            )
+        self.simulator = simulator
+        self.network = network
+        self.processing_delay_s = processing_delay_s
+        self.channel = channel
+        self.retransmit = retransmit
+        self.leases = leases
+        self._on_tear_message = on_tear_message
+
+    def tear_message(self) -> None:
+        """Count one TEAR transmission (teardown outlives its attempt)."""
+        if self._on_tear_message is not None:
+            self._on_tear_message()
+
+    def concluded(self, outcome: ReservationOutcome) -> None:
+        """An attempt on this plane concluded; its caller hears next."""
+
+
 class _TearSweep:
     """One TEAR propagating source → destination along a path.
 
@@ -116,62 +167,43 @@ class _TearSweep:
     next downstream link is still held.  The sweep travels through the
     (possibly lossy) channel with *no* retransmission — RSVP tears are
     unacknowledged — so a lost TEAR strands the remaining links until
-    their lease expires.
+    their lease expires.  ``links[i]`` is the link out of the path's
+    node ``i``.
     """
 
-    __slots__ = (
-        "_network",
-        "_channel",
-        "_path",
-        "_flow_id",
-        "_processing_delay",
-        "_leases",
-        "_on_message",
-    )
+    __slots__ = ("_plane", "_links", "_flow_id")
 
-    def __init__(
-        self,
-        network: Network,
-        channel: SignalingChannel,
-        path: Sequence,
-        flow_id: FlowId,
-        processing_delay_s: float,
-        leases: Optional[LeaseTable],
-        on_message: Callable[[], None],
-    ) -> None:
-        self._network = network
-        self._channel = channel
-        self._path = tuple(path)
+    def __init__(self, plane: _Plane, links: Sequence[Link], flow_id: FlowId) -> None:
+        self._plane = plane
+        self._links = links
         self._flow_id = flow_id
-        self._processing_delay = processing_delay_s
-        self._leases = leases
-        self._on_message = on_message
 
     def start_from(self, node_index: int) -> None:
-        """Begin the sweep at ``path[node_index]`` (holds no upstream leg)."""
+        """Begin the sweep at node ``node_index`` (holds no upstream leg)."""
         self._forward(node_index)
 
     def release_and_forward(self, node_index: int) -> None:
-        """Release the upstream link at ``path[node_index]``, then forward."""
-        path = self._path
-        link = self._network.link(path[node_index - 1], path[node_index])
+        """Release the upstream link of node ``node_index``, then forward."""
+        link = self._links[node_index - 1]
         link.release_if_held(self._flow_id)
-        if self._leases is not None:
-            self._leases.drop_link(self._flow_id, link)
+        leases = self._plane.leases
+        if leases is not None:
+            leases.drop_link(self._flow_id, link)
         self._forward(node_index)
 
     def _forward(self, node_index: int) -> None:
-        path = self._path
-        if node_index >= len(path) - 1:
+        links = self._links
+        if node_index >= len(links):
             return
-        link = self._network.link(path[node_index], path[node_index + 1])
+        link = links[node_index]
         if not link.holds(self._flow_id):
             # Nothing further downstream to tear (never installed, or
             # already collected); the sweep ends here.
             return
-        self._on_message()
-        delay = link.propagation_delay_s + self._processing_delay
-        self._channel.send(delay, lambda: self.release_and_forward(node_index + 1))
+        plane = self._plane
+        plane.tear_message()
+        delay = link.propagation_delay_s + plane.processing_delay_s
+        plane.channel.send(delay, lambda: self.release_and_forward(node_index + 1))
 
 
 class _Transfer:
@@ -200,7 +232,7 @@ class _Transfer:
 
     def __init__(
         self,
-        session: "RsvpSession",
+        session: "_Session",
         delay_s: float,
         resv: bool,
         node_index: int,
@@ -226,14 +258,21 @@ class _Transfer:
         if policy is None:
             channel.send(self._delay, self.arrive)
             return
-        timeout = policy.timeout(self._tries)
         arrivals = channel.plan(self._delay)
         simulator = session._simulator
         now = simulator.now
+        backoff = policy.backoff
         # Compare the absolute times Simulator.schedule computes.  On a
         # tie the timer fires first: it is scheduled before the copies.
-        if not arrivals or now + min(arrivals) >= now + timeout:
-            self._timer = simulator.schedule(timeout, self.timed_out)
+        landed = now + min(arrivals) if arrivals else math.inf
+        tries = self._tries
+        if landed < now + backoff.floor(tries):
+            # The copy beats every timeout the backoff could draw.
+            backoff.skipped += 1
+        else:
+            timeout = policy.timeout(tries)
+            if landed >= now + timeout:
+                self._timer = simulator.schedule(timeout, self.timed_out)
         channel.send(self._delay, self.arrive)
 
     def arrive(self) -> None:
@@ -271,7 +310,175 @@ class _Transfer:
         self.transmit()
 
 
-class RsvpSession:
+class _Session:
+    """One PATH/RESV exchange for one flow over one route of a plane.
+
+    The hops index the route's resolved links: ``_links[i]`` carries
+    the flow out of the path's node ``i``.
+    """
+
+    __slots__ = (
+        "_plane",
+        "_simulator",
+        "_channel",
+        "_retransmit",
+        "_leases",
+        "_processing_delay",
+        "_links",
+        "_flow_id",
+        "_bandwidth",
+        "_on_complete",
+        "_messages",
+        "_retransmissions",
+        "_started_at",
+        "_reserved_links",
+    )
+
+    def __init__(
+        self,
+        plane: _Plane,
+        route: Route,
+        flow_id: FlowId,
+        bandwidth_bps: float,
+        on_complete: Callable[[ReservationOutcome], None],
+    ) -> None:
+        if not bandwidth_bps >= 0:
+            raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
+        self._plane = plane
+        self._simulator = plane.simulator
+        self._channel = plane.channel
+        self._retransmit = plane.retransmit
+        self._leases = plane.leases
+        self._processing_delay = plane.processing_delay_s
+        self._links = route.resolve_links(plane.network)
+        self._flow_id = flow_id
+        self._bandwidth = bandwidth_bps
+        self._on_complete = on_complete
+        self._messages = 0
+        self._retransmissions = 0
+        self._started_at = plane.simulator.now
+        #: legs this session's RESV installed and no TEAR has taken
+        #: over yet
+        self._reserved_links: list[Link] = []
+
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Launch the PATH probe from the source."""
+        if not self._links:
+            # Degenerate zero-hop route: nothing to reserve.
+            self._finish(success=True, bottleneck=float("inf"))
+            return
+        self._advance_path(hop_index=0)
+
+    # ------------------------------------------------------------------
+    # PATH phase: source -> destination, advisory checks
+    # ------------------------------------------------------------------
+    def _advance_path(self, hop_index: int) -> None:
+        links = self._links
+        if hop_index == len(links):
+            # PATH reached the destination: turn around as RESV.
+            self._advance_resv(hop_index, math.inf)
+            return
+        link = links[hop_index]
+        if not link.can_admit(self._bandwidth):
+            # Fail fast: charge the hops travelled so far plus an error
+            # message back to the source.
+            self._messages += hop_index  # PATH_ERR retraces hop_index links
+            self._finish(
+                success=False,
+                bottleneck=float("inf"),
+                failed_link=(link.source, link.target),
+            )
+            return
+        delay = link.propagation_delay_s + self._processing_delay
+        _Transfer(self, delay, False, hop_index, math.inf).transmit()
+
+    def _path_lost(self, hop_index: int) -> None:
+        """The PATH transfer out of ``path[hop_index]`` exhausted retries."""
+        link = self._links[hop_index]
+        self._messages += hop_index  # PATH_ERR retraces hop_index links
+        self._finish(
+            success=False,
+            bottleneck=float("inf"),
+            failed_link=(link.source, link.target),
+            timed_out=True,
+        )
+
+    # ------------------------------------------------------------------
+    # RESV phase: destination -> source, actual reservation
+    # ------------------------------------------------------------------
+    def _advance_resv(self, node_index: int, bottleneck: float) -> None:
+        if node_index == 0:
+            self._finish(success=True, bottleneck=bottleneck)
+            return
+        links = self._links
+        link = links[node_index - 1]
+        available_before = link.available_bps
+        try:
+            link.reserve(self._flow_id, self._bandwidth)
+        except InsufficientBandwidthError:
+            # Race lost mid-sweep: charge PATH_ERR messages back to the
+            # source and tear the downstream partial reservations hop
+            # by hop (the TEAR itself may be lost; leases then cover
+            # the orphans).
+            self._messages += node_index
+            if self._reserved_links:
+                self._reserved_links.clear()
+                _TearSweep(self._plane, links, self._flow_id).start_from(node_index)
+            self._finish(
+                success=False,
+                bottleneck=bottleneck,
+                failed_link=(link.source, link.target),
+            )
+            return
+        self._reserved_links.append(link)
+        if self._leases is not None:
+            self._leases.register(self._flow_id, link)
+        bottleneck = min(bottleneck, available_before)
+        delay = link.propagation_delay_s + self._processing_delay
+        _Transfer(self, delay, True, node_index, bottleneck).transmit()
+
+    def _resv_lost(self, node_index: int, bottleneck: float) -> None:
+        """The RESV transfer out of ``path[node_index]`` exhausted retries.
+
+        The node releases its own upstream leg immediately (it knows
+        the exchange is dead) and tears the rest downstream; the
+        source-side outcome is a timed-out failure.
+        """
+        self._reserved_links.clear()
+        _TearSweep(self._plane, self._links, self._flow_id).release_and_forward(
+            node_index
+        )
+        link = self._links[node_index - 1]
+        self._finish(
+            success=False,
+            bottleneck=bottleneck,
+            failed_link=(link.source, link.target),
+            timed_out=True,
+        )
+
+    # ------------------------------------------------------------------
+    def _finish(
+        self,
+        success: bool,
+        bottleneck: float,
+        failed_link: Optional[tuple] = None,
+        timed_out: bool = False,
+    ) -> None:
+        outcome = ReservationOutcome(
+            success=success,
+            bottleneck_bps=bottleneck,
+            messages=self._messages,
+            latency_s=self._simulator.now - self._started_at,
+            failed_link=failed_link,
+            timed_out=timed_out,
+            retransmissions=self._retransmissions,
+        )
+        self._plane.concluded(outcome)
+        self._on_complete(outcome)
+
+
+class RsvpSession(_Session):
     """One PATH/RESV exchange for one flow over one route.
 
     Parameters
@@ -297,6 +504,8 @@ class RsvpSession:
         attempt, so these are not in ``ReservationOutcome.messages``).
     """
 
+    __slots__ = ()
+
     def __init__(
         self,
         simulator: Simulator,
@@ -311,164 +520,19 @@ class RsvpSession:
         leases: Optional[LeaseTable] = None,
         on_tear_message: Optional[Callable[[], None]] = None,
     ):
-        if not bandwidth_bps >= 0:
-            raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-        _check_processing_delay(processing_delay_s)
-        channel = channel if channel is not None else SignalingChannel(simulator)
-        if retransmit is None and (
-            channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0
-        ):
-            raise ValueError(
-                "a channel with loss or duplication requires a "
-                "RetransmitPolicy (timers recover losses and receivers "
-                "deduplicate copies)"
-            )
-        self._simulator = simulator
-        self._network = network
-        self._route = route
-        self._flow_id = flow_id
-        self._bandwidth = bandwidth_bps
-        self._on_complete = on_complete
-        self._processing_delay = processing_delay_s
-        self._channel = channel
-        self._retransmit = retransmit
-        self._leases = leases
-        self._on_tear_message = on_tear_message
-        self._messages = 0
-        self._retransmissions = 0
-        self._started_at = simulator.now
-        #: legs this session's RESV installed and no TEAR has taken
-        #: over yet
-        self._reserved_links: list = []
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Launch the PATH probe from the source."""
-        path = self._route.path
-        if len(path) < 2:
-            # Degenerate zero-hop route: nothing to reserve.
-            self._finish(success=True, bottleneck=float("inf"))
-            return
-        self._advance_path(hop_index=0)
-
-    # ------------------------------------------------------------------
-    # PATH phase: source -> destination, advisory checks
-    # ------------------------------------------------------------------
-    def _advance_path(self, hop_index: int) -> None:
-        path = self._route.path
-        if hop_index == len(path) - 1:
-            # PATH reached the destination: turn around as RESV.
-            self._advance_resv(hop_index, math.inf)
-            return
-        link = self._network.link(path[hop_index], path[hop_index + 1])
-        if not link.can_admit(self._bandwidth):
-            # Fail fast: charge the hops travelled so far plus an error
-            # message back to the source.
-            self._messages += hop_index  # PATH_ERR retraces hop_index links
-            self._finish(
-                success=False,
-                bottleneck=float("inf"),
-                failed_link=(link.source, link.target),
-            )
-            return
-        delay = link.propagation_delay_s + self._processing_delay
-        _Transfer(self, delay, False, hop_index, math.inf).transmit()
-
-    def _path_lost(self, hop_index: int) -> None:
-        """The PATH transfer out of ``path[hop_index]`` exhausted retries."""
-        path = self._route.path
-        self._messages += hop_index  # PATH_ERR retraces hop_index links
-        self._finish(
-            success=False,
-            bottleneck=float("inf"),
-            failed_link=(path[hop_index], path[hop_index + 1]),
-            timed_out=True,
+        plane = _Plane(
+            simulator,
+            network,
+            processing_delay_s,
+            channel,
+            retransmit,
+            leases,
+            on_tear_message,
         )
-
-    # ------------------------------------------------------------------
-    # RESV phase: destination -> source, actual reservation
-    # ------------------------------------------------------------------
-    def _advance_resv(self, node_index: int, bottleneck: float) -> None:
-        path = self._route.path
-        if node_index == 0:
-            self._finish(success=True, bottleneck=bottleneck)
-            return
-        link = self._network.link(path[node_index - 1], path[node_index])
-        available_before = link.available_bps
-        try:
-            link.reserve(self._flow_id, self._bandwidth)
-        except InsufficientBandwidthError:
-            # Race lost mid-sweep: charge PATH_ERR messages back to the
-            # source and tear the downstream partial reservations hop
-            # by hop (the TEAR itself may be lost; leases then cover
-            # the orphans).
-            self._messages += node_index
-            if self._reserved_links:
-                self._reserved_links.clear()
-                self._start_tear().start_from(node_index)
-            self._finish(
-                success=False,
-                bottleneck=bottleneck,
-                failed_link=(link.source, link.target),
-            )
-            return
-        self._reserved_links.append(link)
-        if self._leases is not None:
-            self._leases.register(self._flow_id, link)
-        bottleneck = min(bottleneck, available_before)
-        delay = link.propagation_delay_s + self._processing_delay
-        _Transfer(self, delay, True, node_index, bottleneck).transmit()
-
-    def _resv_lost(self, node_index: int, bottleneck: float) -> None:
-        """The RESV transfer out of ``path[node_index]`` exhausted retries.
-
-        The node releases its own upstream leg immediately (it knows
-        the exchange is dead) and tears the rest downstream; the
-        source-side outcome is a timed-out failure.
-        """
-        self._reserved_links.clear()
-        self._start_tear().release_and_forward(node_index)
-        path = self._route.path
-        self._finish(
-            success=False,
-            bottleneck=bottleneck,
-            failed_link=(path[node_index - 1], path[node_index]),
-            timed_out=True,
-        )
-
-    def _start_tear(self) -> _TearSweep:
-        on_message = self._on_tear_message
-        return _TearSweep(
-            self._network,
-            self._channel,
-            self._route.path,
-            self._flow_id,
-            self._processing_delay,
-            self._leases,
-            on_message if on_message is not None else lambda: None,
-        )
-
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        success: bool,
-        bottleneck: float,
-        failed_link: Optional[tuple] = None,
-        timed_out: bool = False,
-    ) -> None:
-        outcome = ReservationOutcome(
-            success=success,
-            bottleneck_bps=bottleneck,
-            messages=self._messages,
-            latency_s=self._simulator.now - self._started_at,
-            failed_link=failed_link,
-            timed_out=timed_out,
-            retransmissions=self._retransmissions,
-        )
-        self._on_complete(outcome)
+        super().__init__(plane, route, flow_id, bandwidth_bps, on_complete)
 
 
-class SignalledReservationEngine:
+class SignalledReservationEngine(_Plane):
     """Asynchronous reservation engine driving RSVP-lite sessions.
 
     The message-level sibling of
@@ -479,7 +543,9 @@ class SignalledReservationEngine:
 
     Every session and every release goes through ``channel`` (the
     perfect channel unless given); releases travel as hop-by-hop TEAR
-    sweeps, so the links free up one hop delay apart.
+    sweeps, so the links free up one hop delay apart.  The engine is
+    the plane its sessions share: a channel with loss or duplication
+    and no ``retransmit`` policy is refused here, before any attempt.
     """
 
     def __init__(
@@ -491,13 +557,9 @@ class SignalledReservationEngine:
         retransmit: Optional[RetransmitPolicy] = None,
         leases: Optional[LeaseTable] = None,
     ):
-        _check_processing_delay(processing_delay_s)
-        self.simulator = simulator
-        self.network = network
-        self.processing_delay_s = processing_delay_s
-        self.channel = channel if channel is not None else SignalingChannel(simulator)
-        self.retransmit = retransmit
-        self.leases = leases
+        super().__init__(
+            simulator, network, processing_delay_s, channel, retransmit, leases
+        )
         self.attempts = 0
         self.failures = 0
         self.total_messages = 0
@@ -509,9 +571,20 @@ class SignalledReservationEngine:
         #: TEAR transmissions (teardowns outlive their attempts)
         self.tear_messages = 0
 
-    def _count_tear_message(self) -> None:
+    def tear_message(self) -> None:
+        """Charge one TEAR transmission to the totals."""
         self.total_messages += 1
         self.tear_messages += 1
+
+    def concluded(self, outcome: ReservationOutcome) -> None:
+        """Add one attempt's outcome to the totals."""
+        if not outcome.success:
+            self.failures += 1
+        self.total_messages += outcome.messages
+        self.total_latency_s += outcome.latency_s
+        self.total_retransmissions += outcome.retransmissions
+        if outcome.timed_out:
+            self.timeouts += 1
 
     def reserve(
         self,
@@ -527,48 +600,16 @@ class SignalledReservationEngine:
         per-attempt key.
         """
         self.attempts += 1
+        _Session(self, route, flow_id, bandwidth_bps, on_complete).start()
 
-        def record_and_forward(outcome: ReservationOutcome) -> None:
-            if not outcome.success:
-                self.failures += 1
-            self.total_messages += outcome.messages
-            self.total_latency_s += outcome.latency_s
-            self.total_retransmissions += outcome.retransmissions
-            if outcome.timed_out:
-                self.timeouts += 1
-            on_complete(outcome)
-
-        session = RsvpSession(
-            self.simulator,
-            self.network,
-            route,
-            flow_id,
-            bandwidth_bps,
-            record_and_forward,
-            processing_delay_s=self.processing_delay_s,
-            channel=self.channel,
-            retransmit=self.retransmit,
-            leases=self.leases,
-            on_tear_message=self._count_tear_message,
-        )
-        session.start()
-
-    def release(self, path: Sequence, flow_id: FlowId) -> None:
-        """Tear down a reservation; TEAR messages are charged.
+    def release(self, route: Route, flow_id: FlowId) -> None:
+        """Tear down the reservation along ``route``; TEAR messages are charged.
 
         Launches a hop-by-hop TEAR sweep through the channel: each
         delivered hop releases its leg, and a lost TEAR strands the
         rest for the lease collector.
         """
-        _TearSweep(
-            self.network,
-            self.channel,
-            path,
-            flow_id,
-            self.processing_delay_s,
-            self.leases,
-            self._count_tear_message,
-        ).start_from(0)
+        _TearSweep(self, route.resolve_links(self.network), flow_id).start_from(0)
 
     @property
     def mean_latency_s(self) -> float:

@@ -128,6 +128,45 @@ class RandomStream:
         variate: float = self._block[pos]
         return low + span * variate
 
+    def pass_over(self, count: int) -> None:
+        """Pass over the next ``count`` unit uniforms without serving them.
+
+        The stream ends where ``count`` calls of :meth:`uniform` would
+        leave it, but :attr:`draws` does not count them: a caller that
+        knows a variate cannot change its outcome passes over it.
+        """
+        if count < 0:
+            raise ValueError(f"cannot pass over {count} variates")
+        while count:
+            if self._kind != _RANDOM or self._pos == _BLOCK_SIZE:
+                self._refill(_RANDOM)
+            step = min(count, _BLOCK_SIZE - self._pos)
+            self._pos += step
+            count -= step
+
+    def pass_over_at_least(self, threshold: float) -> int:
+        """Pass over the unit uniforms ``>= threshold`` ahead; return how many.
+
+        The next :meth:`uniform` then serves the first variate below
+        ``threshold``.  One scan of the block already drawn finds it;
+        the variates passed over are not counted in :attr:`draws`.
+        """
+        # Written so that NaN fails; at 0 no variate would stop the scan.
+        if not 0.0 < threshold:
+            raise ValueError(f"threshold must be positive, got {threshold}")
+        passed = 0
+        while True:
+            if self._kind != _RANDOM or self._pos == _BLOCK_SIZE:
+                self._refill(_RANDOM)
+            block = self._block
+            start = self._pos
+            for index in range(start, _BLOCK_SIZE):
+                if block[index] < threshold:
+                    self._pos = index
+                    return passed + index - start
+            passed += _BLOCK_SIZE - start
+            self._pos = _BLOCK_SIZE
+
     def integer(self, low: int, high: int) -> int:
         """Sample an integer uniformly from ``[low, high]`` inclusive.
 

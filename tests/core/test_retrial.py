@@ -11,6 +11,7 @@ from repro.core.retrial import (
     NeverRetryPolicy,
 )
 from repro.signaling.channel import RetransmitPolicy
+from repro.sim.random_streams import StreamFactory
 
 
 class TestCounterRetrialPolicy:
@@ -89,3 +90,43 @@ class TestRetransmissionTimingValidation:
 
     def test_policy_accepts_zero_cap(self):
         assert RetransmitPolicy(ExponentialBackoff(0.1), 0).max_retransmits == 0
+
+
+class TestLazyJitter:
+    def backoff(self, seed=5, jitter=0.5):
+        return ExponentialBackoff(
+            0.05,
+            factor=2.0,
+            max_timeout_s=0.3,
+            jitter=jitter,
+            rng=StreamFactory(seed).stream("backoff"),
+        )
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1, 0.5, 0.9])
+    def test_floor_bounds_every_timeout(self, jitter):
+        backoff = self.backoff(jitter=jitter)
+        for attempt in range(6):
+            floor = backoff.floor(attempt)
+            for _ in range(300):
+                assert floor <= backoff.timeout(attempt)
+
+    def test_floor_of_unjittered_backoff_is_the_timeout(self):
+        backoff = ExponentialBackoff(0.05, factor=2.0, max_timeout_s=0.3)
+        assert [backoff.floor(a) for a in range(5)] == [
+            backoff.timeout(a) for a in range(5)
+        ]
+
+    def test_skipped_timeouts_pass_their_variates_over(self):
+        stream = StreamFactory(5).stream("backoff")
+        lazy = ExponentialBackoff(
+            0.05, factor=2.0, max_timeout_s=0.3, jitter=0.5, rng=stream
+        )
+        eager = self.backoff()
+        for skips in (0, 1, 3, 1500, 2):
+            lazy.skipped += skips
+            for _ in range(skips):
+                eager.timeout(0)
+            assert lazy.timeout(1) == eager.timeout(1)
+            assert lazy.skipped == 0
+        # Only the timeouts drawn count as draws.
+        assert stream.draws == 5

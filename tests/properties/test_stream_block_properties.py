@@ -4,13 +4,15 @@ A :class:`RandomStream` serves its variates from blocks drawn in one
 numpy call.  Its contract is that the blocking is invisible: a stream
 yields exactly the values a plain ``numpy.random.Generator`` on the
 same seed returns from one scalar call per variate, through any
-interleaving of variate kinds and across block boundaries.
+interleaving of variate kinds and across block boundaries.  Passing
+over variates leaves the stream exactly where serving them would,
+without counting them as draws.
 """
 
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.random_streams import _BLOCK_SIZE, RandomStream
@@ -97,5 +99,109 @@ def test_block_draws_equal_scalar_draws(seed, runs):
         made += length
         assert stream.draws == made
     # A final scalar draw checks that both generators end in the same state.
+    last = ("integer", 0, 2**62)
+    assert stream_call(stream, last) == scalar_call(generator, last)
+
+
+def block_state(stream):
+    """Everything that decides the variates a stream serves next."""
+    return (
+        stream._kind,
+        stream._pos,
+        stream._block,
+        stream._generator.bit_generator.state,
+    )
+
+
+def draw_prefix(runs, *targets):
+    """Make the same calls on a stream, its twin and a scalar generator."""
+    stream, twin, generator = targets
+    for call, length in runs:
+        for _ in range(length):
+            got = stream_call(stream, call)
+            assert bits(stream_call(twin, call)) == bits(got)
+            assert bits(scalar_call(generator, call)) == bits(got)
+
+
+def fresh(seed):
+    """A stream, a twin that serves every variate, and a scalar generator."""
+    return (
+        RandomStream(np.random.SeedSequence(seed)),
+        RandomStream(np.random.SeedSequence(seed)),
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))),
+    )
+
+
+#: Prefixes that leave the stream mid-block, at a block edge, or in a
+#: block of another kind (so the pass must rewind first).
+prefixes = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("uniform"), st.just(0.0), st.just(1.0)),
+            st.tuples(st.just("exponential"), positive),
+            st.tuples(st.just("choice"), st.integers(1, len(ITEMS))),
+        ),
+        st.one_of(st.integers(1, 4), st.integers(_BLOCK_SIZE - 6, _BLOCK_SIZE)),
+    ),
+    max_size=3,
+)
+#: Short passes, passes across one block edge, and passes over whole blocks.
+pass_counts = st.one_of(
+    st.integers(0, 8),
+    st.integers(_BLOCK_SIZE - 8, _BLOCK_SIZE + 8),
+    st.integers(2 * _BLOCK_SIZE, 3 * _BLOCK_SIZE + 5),
+)
+UNIFORM = ("uniform", 0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=prefixes, count=pass_counts)
+@example(seed=1, runs=[(UNIFORM, _BLOCK_SIZE - 3)], count=7)
+@example(seed=2, runs=[(("exponential", 1.0), 5)], count=_BLOCK_SIZE + 1)
+@example(seed=3, runs=[(("choice", 4), _BLOCK_SIZE - 1)], count=2)
+def test_pass_over_equals_scalar_uniforms(seed, runs, count):
+    stream, twin, generator = fresh(seed)
+    draw_prefix(runs, stream, twin, generator)
+    served = stream.draws
+    stream.pass_over(count)
+    for _ in range(count):
+        assert bits(twin.uniform()) == bits(scalar_call(generator, UNIFORM))
+    # Passed-over variates are not draws: perfbench's traced run matches
+    # ``draws`` against the rng calls it sees.
+    assert stream.draws == served
+    assert block_state(stream) == block_state(twin)
+    got = stream.uniform()
+    assert bits(got) == bits(twin.uniform()) == bits(scalar_call(generator, UNIFORM))
+    last = ("integer", 0, 2**62)
+    assert stream_call(stream, last) == scalar_call(generator, last)
+
+
+#: Thresholds with short gaps, and ones whose gaps usually outrun a block.
+thresholds = st.one_of(st.floats(0.02, 1.5), st.floats(1e-4, 5e-4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=prefixes, threshold=thresholds)
+@example(seed=4, runs=[(UNIFORM, _BLOCK_SIZE - 2)], threshold=0.2)
+@example(seed=5, runs=[(("exponential", 2.0), 3)], threshold=2e-4)
+@example(seed=6, runs=[(("choice", 7), 9)], threshold=0.05)
+def test_pass_over_at_least_stops_at_the_next_variate_below(seed, runs, threshold):
+    stream, twin, generator = fresh(seed)
+    draw_prefix(runs, stream, twin, generator)
+    served = stream.draws
+    passed = stream.pass_over_at_least(threshold)
+    gap = 0
+    while True:
+        variate = twin.uniform()
+        assert bits(variate) == bits(scalar_call(generator, UNIFORM))
+        if variate < threshold:
+            break
+        gap += 1
+    assert passed == gap
+    assert stream.draws == served
+    got = stream.uniform()
+    assert bits(got) == bits(variate) and got < threshold
+    assert stream.draws == served + 1
+    assert block_state(stream) == block_state(twin)
     last = ("integer", 0, 2**62)
     assert stream_call(stream, last) == scalar_call(generator, last)

@@ -55,6 +55,19 @@ class TestLoss:
         with pytest.raises(ValueError):
             SignalingChannel(simulator, loss_rate=0.1)
 
+    @pytest.mark.parametrize("other", ["delay", "duplicate"])
+    def test_loss_stream_cannot_be_shared(self, simulator, other):
+        # The channel reads the loss stream ahead, so no other
+        # impairment may draw from it.
+        loss = streams().stream("loss")
+        shared = (
+            {"extra_delay_s": 0.01, "delay_rng": loss}
+            if other == "delay"
+            else {"duplicate_rate": 0.1, "duplicate_rng": loss}
+        )
+        with pytest.raises(ValueError, match="read ahead"):
+            SignalingChannel(simulator, loss_rate=0.1, loss_rng=loss, **shared)
+
     def test_empirical_loss_fraction(self, simulator):
         channel = SignalingChannel(
             simulator, loss_rate=0.3, loss_rng=streams(7).stream("loss")

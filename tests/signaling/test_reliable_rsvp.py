@@ -311,7 +311,7 @@ class TestRobustEngine:
         engine.reserve(ROUTE, "f", 64_000.0, outcomes.append)
         simulator.run()
         assert outcomes[0].success
-        engine.release(ROUTE.path, "f")
+        engine.release(ROUTE, "f")
         simulator.run()
         assert network.total_reserved_bps() == 0.0
         assert engine.tear_messages == 3
@@ -332,7 +332,7 @@ class TestRobustEngine:
         assert outcomes[0].success
         # Drop the second TEAR leg: links (1,2) and (2,3) stay held.
         channel._drop.add(channel.sent + 1)
-        engine.release(ROUTE.path, "f")
+        engine.release(ROUTE, "f")
         simulator.run()
         assert network.total_reserved_bps() == 0.0  # lease reclaimed the rest
         assert leases.orphans_collected == 1

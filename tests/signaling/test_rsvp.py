@@ -4,10 +4,13 @@ import math
 
 import pytest
 
+from repro.core.retrial import ExponentialBackoff
 from repro.network.routing import Route
 from repro.network.topologies import line
+from repro.signaling.channel import RetransmitPolicy, SignalingChannel
 from repro.signaling.rsvp import RsvpSession, SignalledReservationEngine
 from repro.sim.engine import Simulator
+from repro.sim.random_streams import StreamFactory
 
 
 @pytest.fixture
@@ -167,7 +170,7 @@ class TestSignalledEngine:
         engine.reserve(ROUTE, "f1", 64_000.0, results.append)
         simulator.run()
         before = engine.total_messages
-        engine.release(ROUTE.path, "f1")
+        engine.release(ROUTE, "f1")
         simulator.run()  # the TEAR sweeps hop by hop
         assert engine.total_messages == before + 3
         assert network.total_reserved_bps() == 0.0
@@ -176,6 +179,29 @@ class TestSignalledEngine:
         engine = SignalledReservationEngine(simulator, network)
         assert engine.mean_latency_s == 0.0
         assert engine.mean_messages == 0.0
+
+    @pytest.mark.parametrize("impairment", ["loss", "duplicate"])
+    def test_unrecoverable_channel_rejected_at_construction(
+        self, simulator, network, impairment
+    ):
+        # Loss or duplication needs per-hop timers; without a policy
+        # the engine must refuse before any attempt, not mid-run.
+        stream = StreamFactory(0).stream(impairment)
+        channel = SignalingChannel(
+            simulator,
+            **(
+                {"loss_rate": 0.1, "loss_rng": stream}
+                if impairment == "loss"
+                else {"duplicate_rate": 0.1, "duplicate_rng": stream}
+            ),
+        )
+        with pytest.raises(ValueError, match="RetransmitPolicy"):
+            SignalledReservationEngine(simulator, network, channel=channel)
+        # With a policy the same channel is accepted.
+        policy = RetransmitPolicy(ExponentialBackoff(0.05))
+        SignalledReservationEngine(
+            simulator, network, channel=channel, retransmit=policy
+        )
 
 
 class TestEquivalenceWithAtomicEngine:

@@ -101,6 +101,19 @@ class TestDistributions:
         assert stream.draws == 2
 
 
+class TestPassOver:
+    def test_negative_count_rejected(self):
+        stream = StreamFactory(0).stream("pass")
+        with pytest.raises(ValueError):
+            stream.pass_over(-1)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, NAN])
+    def test_threshold_that_stops_no_scan_rejected(self, threshold):
+        stream = StreamFactory(0).stream("pass")
+        with pytest.raises(ValueError):
+            stream.pass_over_at_least(threshold)
+
+
 class TestWeightedChoice:
     def test_respects_weights(self):
         stream = StreamFactory(11).stream("wc")
