@@ -68,7 +68,7 @@ def main() -> None:
     rows = [
         ["flows offered", str(len(decisions))],
         ["flows admitted", str(sum(d.admitted for d in decisions))],
-        ["destination attempts", str(sum(d.result.attempts for d in decisions))],
+        ["destination attempts", str(sum(d.attempts for d in decisions))],
         ["signalling messages", str(engine.total_messages)],
         ["  of which TEAR (lost races)", str(engine.tear_messages)],
         ["messages per attempt", f"{engine.mean_messages:.2f}"],

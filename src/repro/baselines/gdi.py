@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.core.admission import AdmissionResult
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.network.routing import feasible_path
 from repro.network.topology import Network
@@ -46,18 +45,20 @@ class GDIController:
         #: lifetime decision count
         self.requests_seen = 0
 
-    def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
+    def admit(self, request: FlowRequest, now: Optional[float] = None) -> FlowRequest:
         """Admit iff any member is reachable over links with room.
 
         Members are scanned in group order; the overall minimum-hop
-        feasible path across members is reserved.
+        feasible path across members is reserved.  The search is one
+        attempt; a refused record lists every member as tried.
         """
         if request.group != self.group:
             raise ValueError(
                 f"request group {request.group.address!r} does not match "
                 f"controller group {self.group.address!r}"
             )
-        decided_at = request.arrival_time if now is None else now
+        if request.tried:
+            raise ValueError(f"flow request {request.flow_id!r} was already submitted")
         self.requests_seen += 1
         best_path: Optional[list[NodeId]] = None
         for member in self.group.members:
@@ -66,37 +67,27 @@ class GDIController:
             )
             if path is not None and (best_path is None or len(path) < len(best_path)):
                 best_path = path
+        request.attempts = 1
+        request.decided_at = request.arrival_time if now is None else now
         if best_path is None:
-            return AdmissionResult(
-                request=request,
-                flow=None,
-                attempts=1,
-                tried=tuple(self.group.members),
-                decided_at=decided_at,
-            )
+            request.tried = list(self.group.members)
+            return request
         reserved = self.network.reserve_path(
             best_path, request.flow_id, request.bandwidth_bps
         )
         if not reserved:  # pragma: no cover - feasible_path guarantees room
             raise RuntimeError("feasible path refused reservation")
-        flow = AdmittedFlow(
-            request=request,
-            destination=best_path[-1],
-            path=tuple(best_path),
-            admitted_at=decided_at,
-            attempts=1,
-        )
-        return AdmissionResult(
-            request=request,
-            flow=flow,
-            attempts=1,
-            tried=(best_path[-1],),
-            decided_at=decided_at,
-        )
+        request.destination = best_path[-1]
+        request.tried = [request.destination]
+        request.path = tuple(best_path)
+        return request
 
-    def release(self, flow: AdmittedFlow) -> None:
-        """Tear down an admitted flow's reservations (idempotent)."""
-        if flow.released:
+    def release(self, flow: FlowRequest) -> None:
+        """Tear down an admitted flow's reservations (idempotent).
+
+        A refused record holds none, so releasing it does nothing.
+        """
+        if flow.released or flow.path is None:
             return
         self.network.release_path(flow.path, flow.flow_id)
         flow.released = True

@@ -18,7 +18,7 @@ Implements Section 4 of the paper:
   systems from their paper names.
 """
 
-from repro.core.admission import ACRouter, AdmissionResult
+from repro.core.admission import ACRouter
 from repro.core.history import AdmissionHistory
 from repro.core.reservation import AtomicReservationEngine
 from repro.core.retrial import CounterRetrialPolicy, RetrialPolicy
@@ -44,7 +44,6 @@ __all__ = [
     "ACRouter",
     "ALGORITHM_NAMES",
     "AdmissionHistory",
-    "AdmissionResult",
     "AdmissionSystem",
     "AtomicReservationEngine",
     "CounterRetrialPolicy",

@@ -12,6 +12,13 @@ The router owns its selector (and therefore its local admission
 history) — state is strictly local, which is the point of the
 *distributed* admission control mechanism.
 
+The loop runs on the request's own record,
+:class:`repro.flows.flow.FlowRequest`: each draw appends to its
+``tried`` list, each refusal grows its ``excluded`` set, and the
+decision is written into it (``destination``, ``path``, ``attempts``,
+``decided_at``) while the set is dropped.  :meth:`ACRouter.admit`
+returns that same record, and :meth:`ACRouter.release` takes it.
+
 The loop body is written once, here; the signalled router in
 :mod:`repro.signaling.admission` drives the same body from
 reservation callbacks instead of a ``while`` loop.
@@ -19,13 +26,12 @@ reservation callbacks instead of a ``while`` loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Optional, Protocol, Sequence
 
 from repro.core.reservation import AtomicReservationEngine
 from repro.core.retrial import RetrialPolicy
 from repro.core.selection import DestinationSelector
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.network.routing import Route
 from repro.network.topology import Network
@@ -39,7 +45,8 @@ class ReservationEngine(Protocol):
     """What the AC-router needs from a reservation engine.
 
     Satisfied by :class:`AtomicReservationEngine` and its fault-aware
-    subclass in :mod:`repro.network.faults`.
+    subclass in :mod:`repro.network.faults`.  The router reserves under
+    a record's ``flow_id`` and releases an admitted record's ``path``.
     """
 
     def try_reserve(
@@ -51,56 +58,6 @@ class ReservationEngine(Protocol):
     def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
         """Tear down the flow's reservations along ``path``."""
         ...
-
-
-@dataclass(frozen=True)
-class AdmissionResult:
-    """Outcome of one DAC run for one request.
-
-    Attributes
-    ----------
-    request:
-        The request that was processed.
-    flow:
-        The admitted flow (``None`` if rejected).
-    attempts:
-        Number of destinations tried (the final value of the paper's
-        retrial counter ``c``); >= 1 always.
-    tried:
-        Destinations tried, in order.
-    decided_at:
-        Simulation time of the decision (equals the request's arrival
-        time under atomic reservations).
-    """
-
-    request: FlowRequest
-    flow: Optional[AdmittedFlow]
-    attempts: int
-    tried: tuple[NodeId, ...]
-    decided_at: float = 0.0
-
-    @property
-    def admitted(self) -> bool:
-        """Whether the flow was established."""
-        return self.flow is not None
-
-    @property
-    def retrials(self) -> int:
-        """Attempts beyond the first, i.e. ``c - 1``."""
-        return self.attempts - 1
-
-
-class _Decision:
-    """One request's progress through the Figure 1 loop."""
-
-    __slots__ = ("request", "tried", "excluded")
-
-    def __init__(self, request: FlowRequest) -> None:
-        self.request = request
-        #: destinations drawn so far; its length is the counter ``c``
-        self.tried: list[NodeId] = []
-        #: refused destinations the next draw must skip
-        self.excluded: set[NodeId] = set()
 
 
 class ACRouter:
@@ -169,29 +126,27 @@ class ACRouter:
         #: lifetime decision count
         self.requests_seen = 0
 
-    def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
-        """Run the DAC procedure for ``request``.
+    def admit(self, request: FlowRequest, now: Optional[float] = None) -> FlowRequest:
+        """Run the DAC procedure for ``request`` and return the decided record.
 
-        Returns an :class:`AdmissionResult`; on admission the flow's
-        bandwidth is held on every link of its route until
-        :meth:`release` is called.
+        On admission the flow's bandwidth is held on every link of its
+        route until :meth:`release` is called.
         """
-        decision = self._open(request)
+        self._open(request)
         decided_at = request.arrival_time if now is None else now
         while True:
-            route = self._select(decision)
+            route = self._select(request)
             success = self.reservation.try_reserve(
                 route, request.flow_id, request.bandwidth_bps
             )
-            result = self._conclude(decision, route, success, decided_at)
-            if result is not None:
-                return result
+            if self._conclude(request, route, success, decided_at):
+                return request
 
     # ------------------------------------------------------------------
     # the Figure 1 loop body
     # ------------------------------------------------------------------
-    def _open(self, request: FlowRequest) -> _Decision:
-        """Validate and count ``request``; return its empty loop state."""
+    def _open(self, request: FlowRequest) -> None:
+        """Validate and count ``request``; give it empty loop state."""
         if request.source != self.source:
             raise ValueError(
                 f"request source {request.source!r} does not match "
@@ -202,56 +157,55 @@ class ACRouter:
                 f"request group {request.group.address!r} does not match "
                 f"router group {self.group.address!r}"
             )
+        if request.tried:
+            raise ValueError(f"flow request {request.flow_id!r} was already submitted")
         self.requests_seen += 1
-        return _Decision(request)
+        request.excluded = set()
 
-    def _select(self, decision: _Decision) -> Route:
+    def _select(self, request: FlowRequest) -> Route:
         """Draw the next destination and return the route to reserve."""
-        destination = self.selector.select(self.rng, exclude=decision.excluded)
-        decision.tried.append(destination)
+        excluded = request.excluded
+        assert excluded is not None  # set by _open, dropped on conclusion
+        destination = self.selector.select(self.rng, exclude=excluded)
+        request.tried.append(destination)
         return self.routes.route_to(destination)
 
     def _conclude(
-        self, decision: _Decision, route: Route, success: bool, decided_at: float
-    ) -> Optional[AdmissionResult]:
-        """Feed back the last attempt; the result, or ``None`` to retry."""
-        request = decision.request
-        tried = decision.tried
+        self, request: FlowRequest, route: Route, success: bool, decided_at: float
+    ) -> bool:
+        """Feed back the last attempt; ``True`` once the request is decided."""
+        tried = request.tried
         destination = tried[-1]
         self.selector.observe(destination, success)
         attempts = len(tried)
-        flow: Optional[AdmittedFlow] = None
         if success:
-            flow = AdmittedFlow(
-                request=request,
-                destination=destination,
-                path=route.path,
-                admitted_at=decided_at,
-                attempts=attempts,
-            )
+            request.destination = destination
+            request.path = route.path
         else:
+            excluded = request.excluded
+            assert excluded is not None  # set by _open, dropped on conclusion
             if self.resample_failed:
                 distinct_tried = len(set(tried))
             else:
-                decision.excluded.add(destination)
-                distinct_tried = len(decision.excluded)
+                excluded.add(destination)
+                distinct_tried = len(excluded)
             if self.retrial_policy.should_retry(
                 attempts_made=attempts,
                 distinct_tried=distinct_tried,
                 group_size=self.group.size,
             ):
-                return None
-        return AdmissionResult(
-            request=request,
-            flow=flow,
-            attempts=attempts,
-            tried=tuple(tried),
-            decided_at=decided_at,
-        )
+                return False
+        request.attempts = attempts
+        request.decided_at = decided_at
+        request.excluded = None
+        return True
 
-    def release(self, flow: AdmittedFlow) -> None:
-        """Tear down an admitted flow's reservations (idempotent)."""
-        if flow.released:
+    def release(self, flow: FlowRequest) -> None:
+        """Tear down an admitted flow's reservations (idempotent).
+
+        A refused record holds none, so releasing it does nothing.
+        """
+        if flow.released or flow.path is None:
             return
         self.reservation.release(flow.path, flow.flow_id)
         flow.released = True

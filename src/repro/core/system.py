@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
 
 from repro.baselines.gdi import GDIController
-from repro.core.admission import ACRouter, AdmissionResult, ReservationEngine
+from repro.core.admission import ACRouter, ReservationEngine
 from repro.core.reservation import AtomicReservationEngine
 from repro.core.retrial import CounterRetrialPolicy
 from repro.core.selection import (
@@ -30,7 +30,7 @@ from repro.core.selection import (
     SelectionContext,
     ShortestPathSelector,
 )
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.network.routing import RouteTable
 from repro.network.topology import Network
@@ -148,13 +148,13 @@ class AdmissionSystem:
                 f"{sorted(self._controllers, key=repr)}"
             ) from None
 
-    def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
+    def admit(self, request: FlowRequest, now: Optional[float] = None) -> FlowRequest:
         """Run admission control for ``request`` at its source's controller."""
         return self.controller_for(request.source).admit(request, now=now)
 
-    def release(self, flow: AdmittedFlow) -> None:
+    def release(self, flow: FlowRequest) -> None:
         """Tear down an admitted flow."""
-        self.controller_for(flow.request.source).release(flow)
+        self.controller_for(flow.source).release(flow)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AdmissionSystem({self.spec.label}, network={self.network.name!r})"

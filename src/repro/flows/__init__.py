@@ -2,7 +2,8 @@
 
 * :mod:`repro.flows.group` -- anycast groups: an address shared by a
   set of designated recipients.
-* :mod:`repro.flows.flow` -- flow requests and admitted flows.
+* :mod:`repro.flows.flow` -- the flow record: one request, from
+  arrival to departure.
 * :mod:`repro.flows.qos` -- QoS requirements, including the paper's
   Section 6 extension mapping end-to-end delay bounds to bandwidth
   under rate-based schedulers (WFQ / Virtual Clock).
@@ -10,7 +11,7 @@
   lifetime workload of Section 5.1.
 """
 
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import (
     QoSRequirement,
@@ -20,7 +21,6 @@ from repro.flows.qos import (
 from repro.flows.traffic import TrafficModel, WorkloadSpec
 
 __all__ = [
-    "AdmittedFlow",
     "AnycastGroup",
     "FlowRequest",
     "QoSRequirement",

@@ -1,27 +1,51 @@
-"""Flow requests and admitted flows.
+"""The flow record: one request, from arrival to departure.
 
 A :class:`FlowRequest` is what an application hands to the network:
 "establish an anycast flow from this source to this group with this
-QoS".  If the Distributed Admission Control procedure admits it, the
-result is an :class:`AdmittedFlow` pinned to one destination and one
-route for its whole lifetime — the paper's sequencing requirement that
-every packet of a flow goes to the member the first packet reached.
+QoS".  The same slotted record then carries the request through its
+whole life.  Admission control runs the Figure 1 loop on it
+(``tried``, ``excluded``) and writes the decision into it; if the
+request is admitted, the record is the flow, pinned to one
+``destination`` and one ``path`` for its whole lifetime (the paper's
+sequencing requirement that every packet of a flow goes to the member
+the first packet reached) until it is ``released``.  A simulation
+driver schedules the record's :meth:`FlowRequest.arrive` and
+:meth:`FlowRequest.depart` as its arrival and departure events, so no
+closure is built per request or per flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Optional
+import math
+from typing import TYPE_CHECKING, Hashable, Optional, Protocol
 
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Event
+
 NodeId = Hashable
 
 
-@dataclass(frozen=True)
+class FlowDriver(Protocol):
+    """The simulation whose events a record's arrival and departure are."""
+
+    def on_arrival(self, request: FlowRequest) -> None:
+        """The request arrives: decide it."""
+        ...
+
+    def on_departure(self, flow: FlowRequest) -> None:
+        """The admitted flow ends: release it."""
+        ...
+
+
 class FlowRequest:
-    """An anycast flow establishment request.
+    """An anycast flow request and, once decided, its outcome.
+
+    The request fields are set once, here; ``bandwidth_bps`` is derived
+    from ``qos`` once.  Every other attribute is written by admission
+    control or by the simulation driver.
 
     Attributes
     ----------
@@ -32,88 +56,122 @@ class FlowRequest:
     group:
         The anycast destination group ``G(A)``.
     qos:
-        QoS requirement; :attr:`bandwidth_bps` below is derived from it.
+        QoS requirement.
     arrival_time:
         Simulation time at which the request arrived.
     lifetime_s:
         Flow holding time, sampled at arrival (exponential in the
         paper's workload).  ``None`` for open-ended flows that are torn
         down explicitly.
-    """
-
-    flow_id: int
-    source: NodeId
-    group: AnycastGroup
-    qos: QoSRequirement
-    arrival_time: float = 0.0
-    lifetime_s: Optional[float] = None
-
-    def __post_init__(self):
-        if self.lifetime_s is not None and self.lifetime_s < 0:
-            raise ValueError(f"lifetime must be non-negative, got {self.lifetime_s}")
-
-    @property
-    def bandwidth_bps(self) -> float:
-        """Effective bandwidth the network must reserve for this flow."""
-        return self.qos.effective_bandwidth_bps
-
-    @property
-    def departure_time(self) -> Optional[float]:
-        """Scheduled end of the flow, if the lifetime is known."""
-        if self.lifetime_s is None:
-            return None
-        return self.arrival_time + self.lifetime_s
-
-
-@dataclass
-class AdmittedFlow:
-    """An admitted anycast flow holding bandwidth along its route.
-
-    Attributes
-    ----------
-    request:
-        The originating request.
-    destination:
-        The group member selected by admission control.
-    path:
-        The node path the reservation was made on.
-    admitted_at:
-        Simulation time of admission.
+    bandwidth_bps:
+        Effective bandwidth the network must reserve for this flow.
+    tried:
+        Destinations tried, in order.
+    excluded:
+        Refused destinations the next draw must skip; ``None`` before
+        the loop opens and once it concludes.
     attempts:
-        Number of destinations tried before success (>= 1).
+        Destinations tried by the decision (the final value of the
+        paper's retrial counter ``c``); GDI's global search counts as
+        one attempt.
+    destination:
+        The member the flow is pinned to; ``None`` unless admitted.
+    path:
+        The node path the reservation was made on; ``None`` unless
+        admitted.
+    decided_at:
+        Simulation time of the decision; ``None`` until decided.
+    released:
+        Whether the admitted flow's reservations were torn down.
+    reservation_key:
+        On the signalled plane, the per-attempt key the flow's links
+        are held under while an attempt runs and after admission.
+    latency_s:
+        Simulated time from submission to decision (0 when reservations
+        are atomic).
+    driver:
+        The simulation that scheduled the record's events.
+    departure:
+        The admitted flow's pending departure event; cleared once it
+        fires or is cancelled, since its callback refers back here.
     """
 
-    request: FlowRequest
-    destination: NodeId
-    path: tuple
-    admitted_at: float
-    attempts: int = 1
-    released: bool = field(default=False, compare=False)
+    __slots__ = (
+        "flow_id",
+        "source",
+        "group",
+        "qos",
+        "arrival_time",
+        "lifetime_s",
+        "bandwidth_bps",
+        "tried",
+        "excluded",
+        "attempts",
+        "destination",
+        "path",
+        "decided_at",
+        "released",
+        "reservation_key",
+        "latency_s",
+        "driver",
+        "departure",
+    )
 
-    def __post_init__(self):
-        if self.destination not in self.request.group:
+    def __init__(
+        self,
+        flow_id: int,
+        source: NodeId,
+        group: AnycastGroup,
+        qos: QoSRequirement,
+        arrival_time: float = 0.0,
+        lifetime_s: Optional[float] = None,
+    ) -> None:
+        # Written so that NaN fails: a non-finite time would be admitted
+        # and then break the event loop in the middle of a run.
+        if not 0.0 <= arrival_time < math.inf:
             raise ValueError(
-                f"destination {self.destination!r} is not in group "
-                f"{self.request.group.address!r}"
+                f"arrival time must be finite and non-negative, got {arrival_time}"
             )
-        if len(self.path) >= 1 and self.path[-1] != self.destination:
+        if lifetime_s is not None and not 0.0 <= lifetime_s < math.inf:
             raise ValueError(
-                f"path {self.path} does not end at destination {self.destination!r}"
+                f"lifetime must be finite and non-negative, got {lifetime_s}"
             )
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
+        self.flow_id = flow_id
+        self.source = source
+        self.group = group
+        self.qos = qos
+        self.arrival_time = arrival_time
+        self.lifetime_s = lifetime_s
+        self.bandwidth_bps = qos.effective_bandwidth_bps
+        self.tried: list[NodeId] = []
+        self.excluded: Optional[set[NodeId]] = None
+        self.attempts = 0
+        self.destination: Optional[NodeId] = None
+        self.path: Optional[tuple[NodeId, ...]] = None
+        self.decided_at: Optional[float] = None
+        self.released = False
+        self.reservation_key: Optional[Hashable] = None
+        self.latency_s = 0.0
+        self.driver: Optional[FlowDriver] = None
+        self.departure: Optional[Event] = None
 
     @property
-    def flow_id(self) -> int:
-        """Identifier shared with the request and the link ledgers."""
-        return self.request.flow_id
+    def admitted(self) -> bool:
+        """Whether the flow was established (node 0 is a valid member)."""
+        return self.destination is not None
 
-    @property
-    def bandwidth_bps(self) -> float:
-        """Bandwidth held on every link of :attr:`path`."""
-        return self.request.bandwidth_bps
+    def arrive(self) -> None:
+        """The arrival event: hand the request to its driver."""
+        assert self.driver is not None  # set by the driver that scheduled it
+        self.driver.on_arrival(self)
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links on the flow's route."""
-        return max(0, len(self.path) - 1)
+    def depart(self) -> None:
+        """The departure event: hand the ended flow to its driver."""
+        assert self.driver is not None  # set by the driver that scheduled it
+        self.driver.on_departure(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"FlowRequest(flow_id={self.flow_id!r}, source={self.source!r}, "
+            f"destination={self.destination!r}, decided_at={self.decided_at!r})"
+        )

@@ -14,13 +14,12 @@ latency and message counts can be measured:
   runs on the discrete-event engine with per-link propagation delays.
 """
 
-from repro.signaling.admission import SignalledACRouter, SignalledAdmissionResult
+from repro.signaling.admission import SignalledACRouter
 from repro.signaling.rsvp import ReservationOutcome, RsvpSession, SignalledReservationEngine
 
 __all__ = [
     "ReservationOutcome",
     "RsvpSession",
     "SignalledACRouter",
-    "SignalledAdmissionResult",
     "SignalledReservationEngine",
 ]

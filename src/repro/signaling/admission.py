@@ -5,35 +5,40 @@ reservation engine is atomic — the abstraction the paper's simulation
 uses.  :class:`SignalledACRouter` is an ``ACRouter`` that runs the
 *same* Figure 1 loop body on top of
 :class:`repro.signaling.rsvp.SignalledReservationEngine`, where every
-attempt costs a PATH/RESV round trip of simulated time.  Each
-decision is one slotted :class:`_SignalledDecision` whose bound
-``concluded`` is the engine callback: it feeds each outcome to the
-shared body and either launches the next attempt or delivers the
-decision.  A decision holds no reference cycle (closures calling each
-other would leave one per decision for the cyclic GC), so reference
-counting frees it once it concludes.  That yields the quantities the
-paper's overhead discussion appeals to but never measures directly:
+attempt costs a PATH/RESV round trip of simulated time.  The loop runs
+on the request's own record (:class:`repro.flows.flow.FlowRequest`),
+and one slotted :class:`_SignalledDecision` is its engine callback: its
+bound ``concluded`` feeds each outcome to the shared body and either
+launches the next attempt or hands the decided record to
+``on_decision``, exactly once.  A decision holds no reference cycle
+(closures calling each other would leave one per decision for the
+cyclic GC), so reference counting frees it once it concludes.  That
+yields the quantities the paper's overhead discussion appeals to but
+never measures directly:
 
-* **admission latency** — arrival to final decision, growing with each
-  retrial by a full signalling round trip;
-* **message count** — PATH/RESV/PATH_ERR transmissions per request.
+* **admission latency** — submission to final decision, growing with
+  each retrial by a full signalling round trip (the record's
+  ``latency_s``);
+* **message count** — PATH/RESV/PATH_ERR transmissions, which the
+  engine totals over the run.
 
 Every attempt reserves under its own key ``(flow_id, attempt)``, so
 the orphans of a timed-out attempt can never collide with (or be torn
-down by) a later attempt of the same flow.  With no concurrent
+down by) a later attempt of the same flow.  The record keeps the key
+its admitted flow's links are held under (``reservation_key``), which
+:meth:`SignalledACRouter.release` tears down.  With no concurrent
 signalling races the decisions equal the atomic router's (a property
 the test suite asserts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-from repro.core.admission import ACRouter, AdmissionResult
+from repro.core.admission import ACRouter
 from repro.core.retrial import RetrialPolicy
 from repro.core.selection import DestinationSelector
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.network.routing import Route
 from repro.network.topology import Network
@@ -41,34 +46,6 @@ from repro.signaling.rsvp import ReservationOutcome, SignalledReservationEngine
 from repro.sim.random_streams import RandomStream
 
 NodeId = Hashable
-
-
-@dataclass(frozen=True)
-class SignalledAdmissionResult:
-    """An :class:`AdmissionResult` plus its signalling costs.
-
-    Attributes
-    ----------
-    result:
-        The ordinary admission outcome.
-    latency_s:
-        Simulated time from request submission to the decision.
-    messages:
-        Total signalling messages across all attempts.
-    reservation_key:
-        The per-attempt key the admitted flow's links are held under
-        (``None`` if rejected).
-    """
-
-    result: AdmissionResult
-    latency_s: float
-    messages: int
-    reservation_key: Optional[Hashable] = None
-
-    @property
-    def admitted(self) -> bool:
-        """Whether the flow was established."""
-        return self.result.admitted
 
 
 class SignalledACRouter(ACRouter):
@@ -105,88 +82,75 @@ class SignalledACRouter(ACRouter):
             engine,
             resample_failed,
         )
-        # The key each admitted flow's links are held under.
-        self._reservation_keys: dict[Hashable, Hashable] = {}
 
     def admit(  # type: ignore[override]
         self,
         request: FlowRequest,
-        on_decision: Callable[[SignalledAdmissionResult], None],
+        on_decision: Callable[[FlowRequest], None],
     ) -> None:
-        """Start the DAC loop; ``on_decision`` fires when it concludes."""
+        """Start the DAC loop; ``on_decision`` gets the decided record once."""
         _SignalledDecision(self, request, on_decision).reserve_next()
 
-    def release(self, flow: AdmittedFlow) -> None:
-        """Tear down an admitted flow by a TEAR sweep (idempotent)."""
-        if flow.released:
+    def release(self, flow: FlowRequest) -> None:
+        """Tear down an admitted flow by a TEAR sweep (idempotent).
+
+        A refused record holds no reservation, so releasing it does
+        nothing.
+        """
+        if flow.released or flow.destination is None:
             return
-        key = self._reservation_keys.pop(flow.flow_id)
-        self.reservation.release(self.routes.route_to(flow.destination), key)
+        self.reservation.release(
+            self.routes.route_to(flow.destination), flow.reservation_key
+        )
         flow.released = True
 
 
 class _SignalledDecision:
-    """One request's Figure 1 loop, driven by reservation outcomes.
+    """The engine callback of one request's Figure 1 loop.
 
     :meth:`reserve_next` draws a destination and launches its attempt
     with the bound :meth:`concluded` as the engine callback, which
-    either launches the next attempt or delivers the decision.  Nothing
-    this object holds refers back to it, so reference counting frees
-    the whole decision as soon as the last attempt's session is done.
+    either launches the next attempt or delivers the decided record.
+    The loop state and the outcome live in the record; this object adds
+    only what the callback needs.  Nothing it holds refers back to it,
+    so reference counting frees it as soon as the last attempt's
+    session is done.
     """
 
-    __slots__ = (
-        "_router",
-        "_decision",
-        "_on_decision",
-        "_started_at",
-        "_messages",
-        "_key",
-        "_route",
-    )
+    __slots__ = ("_router", "_request", "_on_decision", "_started_at", "_route")
 
     def __init__(
         self,
         router: SignalledACRouter,
         request: FlowRequest,
-        on_decision: Callable[[SignalledAdmissionResult], None],
+        on_decision: Callable[[FlowRequest], None],
     ) -> None:
+        router._open(request)
         self._router = router
-        self._decision = router._open(request)
+        self._request = request
         self._on_decision = on_decision
         self._started_at = router.reservation.simulator.now
-        self._messages = 0
-        self._key: Hashable = None
         self._route: Optional[Route] = None
 
     def reserve_next(self) -> None:
         """Draw the next destination and launch its reservation attempt."""
         router = self._router
-        decision = self._decision
-        request = decision.request
-        route = self._route = router._select(decision)
-        key = self._key = (request.flow_id, len(decision.tried))
+        request = self._request
+        route = self._route = router._select(request)
+        key = request.reservation_key = (request.flow_id, len(request.tried))
         router.reservation.reserve(route, key, request.bandwidth_bps, self.concluded)
 
     def concluded(self, outcome: ReservationOutcome) -> None:
         """Feed one attempt's outcome to the loop body."""
-        self._messages += outcome.messages
         router = self._router
+        request = self._request
         now = router.reservation.simulator.now
         route = self._route
         assert route is not None  # set by the attempt that concluded
-        result = router._conclude(self._decision, route, outcome.success, now)
-        if result is None:
+        if not router._conclude(request, route, outcome.success, now):
             self.reserve_next()
             return
-        key = self._key
-        if result.admitted:
-            router._reservation_keys[self._decision.request.flow_id] = key
-        self._on_decision(
-            SignalledAdmissionResult(
-                result=result,
-                latency_s=now - self._started_at,
-                messages=self._messages,
-                reservation_key=key if result.admitted else None,
-            )
-        )
+        if request.destination is None:
+            request.reservation_key = None
+        request.latency_s = now - self._started_at
+        self._on_decision(request)

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
-from repro.core.admission import AdmissionResult
+from repro.flows.flow import FlowRequest
 from repro.sim.stats import BatchMeans, RunningStats, TimeWeightedStats
 
 NodeId = Hashable
@@ -53,18 +53,16 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def record_decision(self, result: AdmissionResult) -> None:
+    def record_decision(self, request: FlowRequest) -> None:
         """Record an admission decision made inside the window."""
-        self.attempts.record(result.attempts)
-        self.retrials.record(result.retrials)
-        self.attempt_histogram[result.attempts] += 1
-        self.admit_batches.record(1.0 if result.admitted else 0.0)
-        self.source_requests[result.request.source] += 1
-        if result.admitted:
-            flow = result.flow
-            assert flow is not None  # admitted implies a granted flow
-            self.destination_counts[flow.destination] += 1
-            self.source_admitted[result.request.source] += 1
+        self.attempts.record(request.attempts)
+        self.retrials.record(request.attempts - 1)
+        self.attempt_histogram[request.attempts] += 1
+        self.admit_batches.record(1.0 if request.admitted else 0.0)
+        self.source_requests[request.source] += 1
+        if request.admitted:
+            self.destination_counts[request.destination] += 1
+            self.source_admitted[request.source] += 1
 
     def record_flow_start(self) -> None:
         """A flow began holding resources (counted regardless of window)."""

@@ -49,10 +49,10 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from repro import invariants as _invariants
-from repro.core.admission import AdmissionResult, ReservationEngine
+from repro.core.admission import ReservationEngine
 from repro.core.retrial import ExponentialBackoff
 from repro.core.system import AdmissionSystem, SystemSpec, build_system
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.traffic import TrafficModel, WorkloadSpec
 from repro.network.faults import (
     FaultAwareReservationEngine,
@@ -61,14 +61,14 @@ from repro.network.faults import (
     check_fault_means,
 )
 from repro.network.topology import Network
-from repro.signaling.admission import SignalledACRouter, SignalledAdmissionResult
+from repro.signaling.admission import SignalledACRouter
 from repro.signaling.channel import RetransmitPolicy, SignalingChannel
 from repro.signaling.rsvp import (
     DEFAULT_PROCESSING_DELAY_S,
     SignalledReservationEngine,
 )
 from repro.signaling.softstate import LeaseTable
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.sim.random_streams import StreamFactory
 
@@ -336,7 +336,8 @@ class AnycastSimulation:
         self.metrics = MetricsCollector(
             clock=lambda: self.simulator.now, batch_size=batch_size
         )
-        self._active: dict[int, tuple[AdmittedFlow, Event]] = {}
+        #: Live admitted flows by id, on the atomic plane (fault teardown).
+        self._active: dict[int, FlowRequest] = {}
         self.flows_dropped_by_faults = 0
         self._decision_latency_total = 0.0
         self.refresh_messages = 0
@@ -349,34 +350,44 @@ class AnycastSimulation:
         request = self.traffic.next_request()
         if request.arrival_time > self.horizon_s:
             return
-        self.simulator.schedule_at(
-            request.arrival_time, lambda: self._handle_arrival(request)
-        )
+        request.driver = self
+        self.simulator.schedule_at(request.arrival_time, request.arrive)
 
-    def _handle_arrival(self, request: FlowRequest) -> None:
+    def on_arrival(self, request: FlowRequest) -> None:
+        """A request's arrival event: decide it, and draw the next arrival."""
         self._schedule_next_arrival()
         routers = self.routers
         if routers is not None:
             routers[request.source].admit(request, self._handle_signalled_decision)
             return
-        result = self.system.admit(request)
-        self._record_decision(result)
-        flow = result.flow
-        if flow is not None:
-            departure = self.simulator.schedule(
-                request.lifetime_s, lambda: self._handle_departure(flow)
+        self.system.admit(request)
+        self._record_decision(request)
+        if request.destination is not None:
+            request.departure = self.simulator.schedule(
+                request.lifetime_s, request.depart
             )
-            self._active[flow.flow_id] = (flow, departure)
+            self._active[request.flow_id] = request
 
-    def _record_decision(self, result: AdmissionResult, latency_s: float = 0.0) -> None:
+    def _record_decision(self, request: FlowRequest) -> None:
         """Record a decision whose request arrived in the window; start its flow."""
-        if result.request.arrival_time >= self.warmup_s:
-            self.metrics.record_decision(result)
-            self._decision_latency_total += latency_s
-        if result.flow is not None:
+        if request.arrival_time >= self.warmup_s:
+            self.metrics.record_decision(request)
+            self._decision_latency_total += request.latency_s
+        if request.destination is not None:
             self.metrics.record_flow_start()
 
-    def _handle_departure(self, flow: AdmittedFlow) -> None:
+    def on_departure(self, flow: FlowRequest) -> None:
+        """An admitted flow's departure event: charge refreshes, release it."""
+        if self.chaos is not None and flow.reservation_key in self.leases:
+            # A lease collected before the first refresh (signalling
+            # slower than TTL - interval) was never refreshed: its owner
+            # found it gone and stopped.  A lease alive at the first
+            # refresh lives on.
+            assert flow.path is not None  # admitted
+            refreshes = self._refresh_ticks(flow)[2]
+            self.refresh_messages += 2 * refreshes * (len(flow.path) - 1)
+        # The fired event's callback refers back to the flow.
+        flow.departure = None
         self._active.pop(flow.flow_id, None)
         self.system.release(flow)
         self.metrics.record_flow_end()
@@ -389,11 +400,12 @@ class AnycastSimulation:
     ) -> None:
         """Finish tearing down flows whose route crossed a failed cable."""
         for flow_id in killed_flow_ids:
-            entry = self._active.pop(flow_id, None)
-            if entry is None:
+            flow = self._active.pop(flow_id, None)
+            if flow is None:
                 continue
-            flow, departure = entry
-            departure.cancel()
+            assert flow.departure is not None  # scheduled at admission
+            flow.departure.cancel()
+            flow.departure = None
             # The failed cable already dropped its legs; the fault-aware
             # engine releases the rest.
             self.system.release(flow)
@@ -403,53 +415,40 @@ class AnycastSimulation:
     # ------------------------------------------------------------------
     # the signalled plane's decisions and leases
     # ------------------------------------------------------------------
-    def _handle_signalled_decision(self, decision: SignalledAdmissionResult) -> None:
-        result = decision.result
-        self._record_decision(result, decision.latency_s)
-        flow = result.flow
-        if flow is not None:
-            key = decision.reservation_key
-            departure = self.simulator.schedule(
-                result.request.lifetime_s,
-                lambda: self._handle_signalled_departure(flow, key, refreshes),
-            )
-            # Bound here, long before the departure reads it.
-            refreshes = self._hold_lease(key, departure.time)
+    def _handle_signalled_decision(self, flow: FlowRequest) -> None:
+        self._record_decision(flow)
+        if flow.destination is not None:
+            flow.departure = self.simulator.schedule(flow.lifetime_s, flow.depart)
+            first, last, refreshes = self._refresh_ticks(flow)
+            if refreshes:
+                self.leases.hold(flow.reservation_key, first, last)
 
-    def _hold_lease(self, key: Hashable, departure_at: float) -> int:
-        """Hold ``key``'s lease for its flow's refreshes; return their count.
+    def _refresh_ticks(self, flow: FlowRequest) -> tuple[float, float, int]:
+        """The first and last lease refresh of ``flow``, and their count.
 
-        The source refreshes every ``refresh_interval_s`` from admission
-        on.  Refreshes are modelled as reliable (their Path/Resv pair is
-        charged to the message totals but not dropped) and draw no
-        random numbers, so the admission time, the interval and the
-        departure fix the whole chain.  The tick times accumulate as
-        repeated ``schedule(interval)`` calls would place them, and a
-        departure at the same instant as a tick wins the tie (it is the
-        earlier-scheduled event), so only ticks strictly before it
-        refresh.
+        The source refreshes every ``refresh_interval_s`` from its
+        decision on.  Refreshes are modelled as reliable (their
+        Path/Resv pair is charged to the message totals but not
+        dropped) and draw no random numbers, so the decision time, the
+        interval and the departure fix the whole chain: the lease is
+        held for it at admission and charged for it at departure.  The
+        tick times accumulate as repeated ``schedule(interval)`` calls
+        would place them, and a departure at the same instant as a tick
+        wins the tie (it is the earlier-scheduled event), so only ticks
+        strictly before it refresh.
         """
         assert self.chaos is not None  # leases exist on the signalled plane
+        assert flow.decided_at is not None and flow.departure is not None
         interval = float(self.chaos.refresh_interval_s)
-        first = last = self.simulator.now + interval
+        departure_at = flow.departure.time
+        first = last = flow.decided_at + interval
         if first >= departure_at:
-            return 0
+            return first, last, 0
         refreshes = 1
         while last + interval < departure_at:
             last += interval
             refreshes += 1
-        self.leases.hold(key, first, last)
-        return refreshes
-
-    def _handle_signalled_departure(
-        self, flow: AdmittedFlow, key: Hashable, refreshes: int
-    ) -> None:
-        # A lease collected before the first refresh (signalling slower
-        # than TTL - interval) was never refreshed: its owner found it
-        # gone and stopped.  A lease alive at the first refresh lives on.
-        if refreshes and key in self.leases:
-            self.refresh_messages += 2 * refreshes * max(0, len(flow.path) - 1)
-        self._handle_departure(flow)
+        return first, last, refreshes
 
     # ------------------------------------------------------------------
     # running

@@ -35,14 +35,14 @@ class TestAdmission:
         net.link(0, 1).reserve("blocker", 64_000.0)
         result = controller.admit(make_request(0, group))
         assert result.admitted
-        assert result.flow.path == (0, 2, 3)
+        assert result.path == (0, 2, 3)
 
     def test_prefers_minimum_hop_member(self):
         net = line(5)
         group = AnycastGroup("A", (0, 4))
         controller = GDIController(net, group)
         result = controller.admit(make_request(1, group))
-        assert result.flow.destination == 0  # one hop vs three
+        assert result.destination == 0  # one hop vs three
 
     def test_rejects_when_no_feasible_path(self):
         net = line(3, capacity_bps=64_000.0)
@@ -53,13 +53,15 @@ class TestAdmission:
         result = controller.admit(make_request(0, group))
         assert not result.admitted
         assert result.attempts == 1
+        controller.release(result)  # a refused record holds nothing
+        assert net.total_reserved_bps() == 2 * 64_000.0
 
     def test_reservation_held_on_found_path(self):
         net = build_diamond()
         group = AnycastGroup("A", (3,))
         controller = GDIController(net, group)
         result = controller.admit(make_request(0, group))
-        for link in net.path_links(result.flow.path):
+        for link in net.path_links(result.path):
             assert link.holds(0)
 
     def test_source_in_group_is_admitted_for_free(self):
@@ -68,8 +70,20 @@ class TestAdmission:
         controller = GDIController(net, group)
         result = controller.admit(make_request(0, group))
         assert result.admitted
-        assert result.flow.path == (0,)
+        assert result.path == (0,)
         assert net.total_reserved_bps() == 0.0
+
+    def test_record_is_admitted_once(self):
+        net = build_diamond()
+        group = AnycastGroup("A", (3,))
+        controller = GDIController(net, group)
+        request = make_request(0, group)
+        controller.admit(request)
+        with pytest.raises(ValueError, match="already submitted"):
+            controller.admit(request)
+        assert request.path == (0, 1, 3)
+        assert controller.requests_seen == 1
+        assert net.total_reserved_bps() == 2 * 64_000.0
 
     def test_wrong_group_rejected(self):
         net = line(3)
@@ -82,8 +96,8 @@ class TestAdmission:
         group = AnycastGroup("A", (3,))
         controller = GDIController(net, group)
         result = controller.admit(make_request(0, group))
-        controller.release(result.flow)
-        controller.release(result.flow)  # idempotent
+        controller.release(result)
+        controller.release(result)  # idempotent
         assert net.total_reserved_bps() == 0.0
 
 
@@ -109,13 +123,14 @@ class TestDominance:
             SystemSpec("ED", retrials=2), net_dac, MCI_SOURCES, group, StreamFactory(1)
         )
         gdi = GDIController(net_gdi, group)
-        model = TrafficModel(spec, StreamFactory(2))
+        # Twin models: each system decides its own copy of each request.
+        dac_model = TrafficModel(spec, StreamFactory(2))
+        gdi_model = TrafficModel(spec, StreamFactory(2))
         dac_admitted = gdi_admitted = 0
         for _ in range(300):
-            request = model.next_request()
-            if dac.admit(request).admitted:
+            if dac.admit(dac_model.next_request()).admitted:
                 dac_admitted += 1
-            if gdi.admit(request).admitted:
+            if gdi.admit(gdi_model.next_request()).admitted:
                 gdi_admitted += 1
         # Without departures both networks only fill up; GDI's global
         # search must never do worse on the same workload.

@@ -60,13 +60,13 @@ class TestAdmission:
         result = router.admit(make_request())
         assert result.admitted
         assert result.attempts == 1
-        assert result.flow.destination in (0, 3)
-        assert result.flow.path[0] == 1
+        assert result.destination in (0, 3)
+        assert result.path[0] == 1
 
     def test_reservation_held_after_admission(self, network):
         router = make_router(network)
         result = router.admit(make_request())
-        for link in network.path_links(result.flow.path):
+        for link in network.path_links(result.path):
             assert link.holds(0)
 
     def test_retries_alternative_destination(self, network):
@@ -75,7 +75,7 @@ class TestAdmission:
         router = make_router(network, retrials=2)
         result = router.admit(make_request())
         assert result.admitted
-        assert result.flow.destination == 3
+        assert result.destination == 3
         assert result.attempts <= 2
 
     def test_rejected_when_all_routes_full(self, network):
@@ -84,9 +84,11 @@ class TestAdmission:
         router = make_router(network, retrials=2)
         result = router.admit(make_request())
         assert not result.admitted
-        assert result.flow is None
+        assert result.path is None
         assert result.attempts == 2
         assert set(result.tried) == {0, 3}
+        router.release(result)  # a refused record holds nothing
+        assert network.total_reserved_bps() == 2 * 64_000.0
 
     def test_r1_gives_single_attempt(self, network):
         network.link(1, 0).reserve("b1", 64_000.0)
@@ -147,6 +149,16 @@ class TestAdmission:
                 rng=StreamFactory(7).stream("router"),
             )
 
+    def test_record_is_admitted_once(self, network):
+        router = make_router(network)
+        request = make_request()
+        router.admit(request)
+        decided = (request.destination, request.path, list(request.tried))
+        with pytest.raises(ValueError, match="already submitted"):
+            router.admit(request)
+        assert (request.destination, request.path, request.tried) == decided
+        assert router.requests_seen == 1
+
     def test_decided_at_defaults_to_arrival(self, network):
         router = make_router(network)
         request = make_request()
@@ -163,15 +175,15 @@ class TestRelease:
     def test_release_frees_route(self, network):
         router = make_router(network)
         result = router.admit(make_request())
-        router.release(result.flow)
+        router.release(result)
         assert network.total_reserved_bps() == 0.0
-        assert result.flow.released
+        assert result.released
 
     def test_release_is_idempotent(self, network):
         router = make_router(network)
         result = router.admit(make_request())
-        router.release(result.flow)
-        router.release(result.flow)
+        router.release(result)
+        router.release(result)
         assert network.total_reserved_bps() == 0.0
 
     def test_capacity_reusable_after_release(self, network):
@@ -180,7 +192,7 @@ class TestRelease:
         assert first.admitted
         second = router.admit(make_request(flow_id=2, members=(0,)))
         assert not second.admitted
-        router.release(first.flow)
+        router.release(first)
         third = router.admit(make_request(flow_id=3, members=(0,)))
         assert third.admitted
 

@@ -177,7 +177,7 @@ class TestAdmissionSystemInterface:
             SystemSpec("ED", retrials=2), network, MCI_SOURCES, group, StreamFactory(0)
         )
         result = system.admit(make_request(source=3, group=group))
-        system.release(result.flow)
+        system.release(result)
         assert network.total_reserved_bps() == 0.0
 
     def test_aggregate_counters(self, group):

@@ -1,10 +1,15 @@
-"""Unit tests for flow requests and admitted flows (repro.flows.flow)."""
+"""Unit tests for the flow record (repro.flows.flow)."""
+
+import math
 
 import pytest
 
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.core.system import SystemSpec, build_system
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
+from repro.network.topologies import line
+from repro.sim.random_streams import StreamFactory
 
 
 def make_request(**overrides) -> FlowRequest:
@@ -25,67 +30,63 @@ class TestFlowRequest:
         request = make_request()
         assert request.bandwidth_bps == 64_000.0
 
-    def test_departure_time(self):
-        request = make_request(arrival_time=10.0, lifetime_s=5.0)
-        assert request.departure_time == 15.0
-
     def test_open_ended_flow_has_no_departure(self):
         request = make_request(lifetime_s=None)
-        assert request.departure_time is None
+        assert request.lifetime_s is None
+        assert request.departure is None
 
     def test_negative_lifetime_rejected(self):
         with pytest.raises(ValueError):
             make_request(lifetime_s=-1.0)
 
-    def test_frozen(self):
+    @pytest.mark.parametrize("lifetime", [math.nan, math.inf])
+    def test_non_finite_lifetime_rejected(self, lifetime):
+        with pytest.raises(ValueError, match="lifetime"):
+            make_request(lifetime_s=lifetime)
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_arrival_time_rejected(self, arrival):
+        with pytest.raises(ValueError, match="arrival time"):
+            make_request(arrival_time=arrival)
+
+    def test_undecided_record(self):
         request = make_request()
-        with pytest.raises(AttributeError):
-            request.flow_id = 99
+        assert not request.admitted
+        assert request.tried == []
+        assert request.excluded is None
+        assert request.destination is None
+        assert request.path is None
+        assert request.decided_at is None
+        assert request.latency_s == 0.0
 
 
 class TestAdmittedFlow:
     def test_valid_flow(self):
-        request = make_request()
-        flow = AdmittedFlow(
-            request=request,
-            destination=4,
-            path=(9, 5, 4),
-            admitted_at=10.0,
-            attempts=2,
+        network = line(3)
+        group = AnycastGroup("A", (0, 2))
+        system = build_system(
+            SystemSpec("ED", retrials=2), network, (1,), group, StreamFactory(0)
         )
+        flow = system.admit(make_request(source=1, group=group))
+        assert flow.admitted
         assert flow.flow_id == 1
         assert flow.bandwidth_bps == 64_000.0
-        assert flow.hop_count == 2
+        assert flow.destination in (0, 2)
+        assert flow.path[-1] == flow.destination
+        assert flow.attempts == len(flow.tried) == 1
+        assert flow.decided_at == 10.0
+        assert flow.excluded is None  # a live flow keeps no loop set
         assert not flow.released
 
-    def test_destination_must_be_group_member(self):
-        request = make_request()
-        with pytest.raises(ValueError):
-            AdmittedFlow(
-                request=request, destination=99, path=(9, 99), admitted_at=0.0
-            )
-
-    def test_path_must_end_at_destination(self):
-        request = make_request()
-        with pytest.raises(ValueError):
-            AdmittedFlow(
-                request=request, destination=4, path=(9, 5, 0), admitted_at=0.0
-            )
-
-    def test_attempts_must_be_positive(self):
-        request = make_request()
-        with pytest.raises(ValueError):
-            AdmittedFlow(
-                request=request,
-                destination=4,
-                path=(9, 4),
-                admitted_at=0.0,
-                attempts=0,
-            )
-
     def test_zero_hop_flow(self):
-        request = make_request(source=0)
-        flow = AdmittedFlow(
-            request=request, destination=0, path=(0,), admitted_at=0.0
+        # A source inside the group holds its flow on a one-node path.
+        network = line(3)
+        group = AnycastGroup("A", (0,))
+        system = build_system(
+            SystemSpec("ED", retrials=1), network, (0,), group, StreamFactory(0)
         )
-        assert flow.hop_count == 0
+        flow = system.admit(make_request(source=0, group=group))
+        assert flow.path == (0,)
+        assert network.total_reserved_bps() == 0.0
+        system.release(flow)
+        assert flow.released

@@ -3,7 +3,8 @@
 A run's lifetime decisions are counted by the controllers
 (``requests_seen``), its reservation attempts and refusals by the
 shared reservation engine (``attempts``/``failures``), and every
-decision is an :class:`repro.core.admission.AdmissionResult`.  These
+decision is written into its request's record,
+:class:`repro.flows.flow.FlowRequest`.  These
 tests check that, after an atomic MCI run drained to empty, the three
 tell the same story, with and without link faults (a route refused
 on a failed cable counts as an attempt and a failure).
@@ -70,7 +71,7 @@ def test_counters_agree_after_drained_run(fault_config):
     window = [
         decision
         for decision in decisions
-        if decision.request.arrival_time >= simulation.warmup_s
+        if decision.arrival_time >= simulation.warmup_s
     ]
     assert result.requests == len(window)
     assert result.admitted == sum(decision.admitted for decision in window)

@@ -81,8 +81,9 @@ class TestSimulationUnderFaults:
         assert simulation.flows_dropped_by_faults > 0
         # Drain every surviving flow and verify conservation.
         simulation.simulator.run()
-        for flow_id, (flow, _) in list(simulation._active.items()):
-            pass  # all departures drained above
+        assert simulation._active == {}
+        assert simulation.simulator.pending_count == 0
+        assert simulation.metrics._active == 0
         leaked = simulation.network.total_reserved_bps()
         assert leaked == pytest.approx(0.0)
 

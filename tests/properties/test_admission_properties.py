@@ -69,14 +69,14 @@ class TestConservationInvariants:
             limit = 1 if algorithm in ("SP", "GDI") else retrials
             assert 1 <= result.attempts <= min(limit, GROUP.size)
             if result.admitted:
-                active.append(result.flow)
+                active.append(result)
                 # The admitted flow holds its bandwidth on every hop.
-                for link in network.path_links(result.flow.path):
-                    assert link.reservation_of(result.flow.flow_id) == 64_000.0
+                for link in network.path_links(result.path):
+                    assert link.reservation_of(result.flow_id) == 64_000.0
             if release_after and active:
                 system.release(active.pop())
         # Conservation: reserved bandwidth == sum over active flows.
-        expected = sum(64_000.0 * flow.hop_count for flow in active)
+        expected = sum(64_000.0 * (len(flow.path) - 1) for flow in active)
         assert network.total_reserved_bps() == expected
         # Full cleanup drains the network.
         for flow in active:

@@ -2,8 +2,8 @@
 
 The signalled driver schedules no event per lease refresh.  At admission
 it derives its flow's refresh ticks from the departure time and hands
-the lease their outcome (``LeaseTable.hold``); at departure it charges
-the refresh messages.  The oracle below is the driver with the timer
+the lease their outcome (``LeaseTable.hold``); at departure it derives
+them again and charges the refresh messages.  The oracle below is the driver with the timer
 chain instead: one event per refresh, each extending the lease with
 ``LeaseTable.refresh`` until the flow departs or finds its lease
 collected.  Every ``ChaosResult`` field must agree with the oracle
@@ -24,13 +24,13 @@ from repro.experiments.config import quick_config
 class TimerRefreshSimulation(ChaosSimulation):
     """The signalled driver with one timer event per lease refresh."""
 
-    def _hold_lease(self, key, departure_at):
-        return 0  # the timer chain refreshes and charges instead
+    def _refresh_ticks(self, flow):
+        return 0.0, 0.0, 0  # the timer chain refreshes and charges instead
 
-    def _handle_signalled_decision(self, decision):
-        super()._handle_signalled_decision(decision)
-        if decision.admitted:
-            flow, key = decision.result.flow, decision.reservation_key
+    def _handle_signalled_decision(self, flow):
+        super()._handle_signalled_decision(flow)
+        if flow.admitted:
+            key = flow.reservation_key
             self.simulator.schedule(
                 self.chaos.refresh_interval_s, lambda: self._refresh(flow, key)
             )
@@ -55,7 +55,8 @@ def tie_lifetimes(simulation, interval):
     def next_request():
         request = draw()
         ticks = max(1, round(request.lifetime_s / interval))
-        return dataclasses.replace(request, lifetime_s=ticks * interval)
+        request.lifetime_s = ticks * interval
+        return request
 
     simulation.traffic.next_request = next_request
 

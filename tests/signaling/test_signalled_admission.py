@@ -60,8 +60,8 @@ class TestDecisions:
         outcome = admit_sync(router, simulator, make_request())
         assert outcome.admitted
         assert outcome.latency_s > 0.0
-        assert outcome.messages >= 2  # at least one hop out and back
-        assert outcome.result.flow.admitted_at == outcome.result.decided_at
+        assert outcome.decided_at == simulator.now
+        assert outcome.reservation_key == (0, 1)
 
     def test_retrial_costs_extra_round_trip(self):
         network = line(4, capacity_bps=64_000.0, propagation_delay_s=0.001)
@@ -76,8 +76,8 @@ class TestDecisions:
                 router, simulator, make_request(flow_id=flow_id)
             )
             if outcome.admitted:
-                latencies.append((outcome.result.attempts, outcome.latency_s))
-            router.release(outcome.result.flow) if outcome.admitted else None
+                latencies.append((outcome.attempts, outcome.latency_s))
+            router.release(outcome) if outcome.admitted else None
         one_try = [lat for attempts, lat in latencies if attempts == 1]
         two_tries = [lat for attempts, lat in latencies if attempts == 2]
         assert one_try and two_tries
@@ -91,8 +91,12 @@ class TestDecisions:
         router = make_router(network, simulator, retrials=2)
         outcome = admit_sync(router, simulator, make_request())
         assert not outcome.admitted
-        assert outcome.result.attempts == 2
-        assert set(outcome.result.tried) == {0, 3}
+        assert outcome.attempts == 2
+        assert set(outcome.tried) == {0, 3}
+        assert outcome.reservation_key is None
+        router.release(outcome)  # a refused record holds nothing
+        simulator.run()
+        assert network.total_reserved_bps() == 2 * 64_000.0
 
     def test_source_and_group_validation(self):
         network = line(4)
@@ -108,10 +112,24 @@ class TestDecisions:
         simulator = Simulator()
         router = make_router(network, simulator)
         outcome = admit_sync(router, simulator, make_request())
-        router.release(outcome.result.flow)
-        router.release(outcome.result.flow)
+        router.release(outcome)
+        router.release(outcome)
         simulator.run()  # the TEAR sweeps hop by hop
         assert network.total_reserved_bps() == 0.0
+
+    def test_record_is_admitted_once(self):
+        network = line(4, capacity_bps=64_000.0)
+        simulator = Simulator()
+        router = make_router(network, simulator)
+        request = make_request()
+        admit_sync(router, simulator, request)
+        decided = (request.destination, request.path, list(request.tried))
+        with pytest.raises(ValueError, match="already submitted"):
+            router.admit(request, lambda o: None)
+        simulator.run()
+        assert (request.destination, request.path, request.tried) == decided
+        assert router.requests_seen == 1
+        assert network.total_reserved_bps() == 64_000.0
 
 
 class TestEquivalenceWithAtomicRouter:
@@ -160,23 +178,23 @@ class TestEquivalenceWithAtomicRouter:
                 atomic.release(atomic_flow)
                 signalled.release(signalled_flow)
                 simulator.run()
-            request = FlowRequest(
-                flow_id=flow_id,
-                source=9,
-                group=group,
-                qos=QoSRequirement(bandwidth_bps=64_000.0),
+            # One record per router: each writes its decision into it.
+            atomic_result, signalled_result = (
+                FlowRequest(
+                    flow_id=flow_id,
+                    source=9,
+                    group=group,
+                    qos=QoSRequirement(bandwidth_bps=64_000.0),
+                )
+                for _ in range(2)
             )
-            atomic_result = atomic.admit(request)
-            signalled_outcome = admit_sync(signalled, simulator, request)
-            signalled_result = signalled_outcome.result
+            atomic.admit(atomic_result)
+            admit_sync(signalled, simulator, signalled_result)
             assert signalled_result.admitted == atomic_result.admitted
             assert signalled_result.tried == atomic_result.tried
             if atomic_result.admitted:
-                assert (
-                    signalled_result.flow.destination
-                    == atomic_result.flow.destination
-                )
-                held.append((atomic_result.flow, signalled_result.flow))
+                assert signalled_result.destination == atomic_result.destination
+                held.append((atomic_result, signalled_result))
         assert signalled.requests_seen == atomic.requests_seen
         assert signalled.reservation.attempts == atomic.reservation.attempts
         assert signalled.reservation.failures == atomic.reservation.failures

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.admission import AdmissionResult
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
 from repro.sim.metrics import MetricsCollector
@@ -18,12 +17,13 @@ def make_result(source, admitted, flow_id=0):
         group=GROUP,
         qos=QoSRequirement(bandwidth_bps=64_000.0),
     )
-    flow = None
+    request.tried = [0]
+    request.attempts = 1
+    request.decided_at = 0.0
     if admitted:
-        flow = AdmittedFlow(
-            request=request, destination=0, path=(source, 0), admitted_at=0.0
-        )
-    return AdmissionResult(request=request, flow=flow, attempts=1, tried=(0,))
+        request.destination = 0
+        request.path = (source, 0)
+    return request
 
 
 @pytest.fixture

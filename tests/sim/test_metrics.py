@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.admission import AdmissionResult
-from repro.flows.flow import AdmittedFlow, FlowRequest
+from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
 from repro.sim.metrics import MetricsCollector, SimulationResult
@@ -19,18 +18,13 @@ def make_result(admitted: bool, attempts: int = 1, destination=0, flow_id=0):
         group=GROUP,
         qos=QoSRequirement(bandwidth_bps=64_000.0),
     )
-    flow = None
+    request.tried = [destination]
+    request.attempts = attempts
+    request.decided_at = 0.0
     if admitted:
-        flow = AdmittedFlow(
-            request=request,
-            destination=destination,
-            path=(1, destination),
-            admitted_at=0.0,
-            attempts=attempts,
-        )
-    return AdmissionResult(
-        request=request, flow=flow, attempts=attempts, tried=(destination,)
-    )
+        request.destination = destination
+        request.path = (1, destination)
+    return request
 
 
 @pytest.fixture
