@@ -44,9 +44,10 @@ FlowId = Hashable
 class ReservationEngine(Protocol):
     """What the AC-router needs from a reservation engine.
 
-    Satisfied by :class:`AtomicReservationEngine` and its fault-aware
-    subclass in :mod:`repro.network.faults`.  The router reserves under
-    a record's ``flow_id`` and releases an admitted record's ``path``.
+    Satisfied by :class:`AtomicReservationEngine`, with or without link
+    faults: a down link reads no capacity, so the engine refuses it as
+    it refuses a full one.  The router reserves under a record's
+    ``flow_id`` and releases an admitted record's ``path``.
     """
 
     def try_reserve(

@@ -7,7 +7,7 @@ baselines, which take no ``R``) and :func:`build_system` wires up a
 ready-to-run :class:`AdmissionSystem`: one AC-router per source for
 the distributed systems, or a single global controller for GDI.  It
 is the one place routers are built, whichever reservation engine they
-share: atomic, fault-aware or signalled.
+share: atomic or signalled.
 """
 
 from __future__ import annotations

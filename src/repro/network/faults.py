@@ -5,13 +5,14 @@ there exists at least one functioning path", noting that "our approach
 can be extended to deal with the situation when this assumption does
 not hold".  This module implements that extension:
 
-* Fault state is kept *here* (:class:`FaultState`), not in the links,
-  so the capacity model stays untouched.  Failing a cable empties both
-  of its links' ledgers; only :class:`FaultAwareReservationEngine`
-  consults the fault state, refusing any route that crosses a failed
-  cable.  The bandwidth views of :mod:`repro.network.state` read the
-  links alone, so they report a failed link as idle (full capacity
-  available) until it is repaired.
+* A fault is link state.  Failing a cable empties both of its links'
+  ledgers and sets their slots in the shared
+  :class:`~repro.network.link.LinkStateArrays` capacity column to
+  :data:`DOWN_CAPACITY_BPS`; repairing it writes the saved nominal
+  capacities back.  Every admission check, bandwidth view and WD/D+B
+  column scan already reads ``capacity - reserved``, so each of them
+  refuses a down hop, or scores it as having no bandwidth, with no
+  fault check of its own.
 * Flows that were traversing a failed link are killed (their
   reservations released everywhere) — the behaviour of a hard RSVP
   state timeout.
@@ -30,26 +31,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Hashable,
-    Iterable,
-    Optional,
-    Sequence,
-)
+from typing import Callable, Hashable, Iterable, Optional
 
-from repro.core.reservation import AtomicReservationEngine
+from repro import invariants as _invariants
+from repro.network.link import ADMIT_EPSILON_BPS
 from repro.network.topology import Network
 from repro.sim.engine import Event, Simulator
 from repro.sim.random_streams import RandomStream
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.network.routing import Route
-
 NodeId = Hashable
 FlowId = Hashable
 LinkKey = tuple[NodeId, NodeId]
+
+#: What a down link's capacity slot reads.  Its ledger is empty, so the
+#: admission test ``b <= capacity - reserved + ADMIT_EPSILON_BPS`` reads
+#: ``b <= 0.0`` and refuses every positive request, while the link's
+#: available bandwidth stays within the sanitizer's admission slack.
+DOWN_CAPACITY_BPS = -ADMIT_EPSILON_BPS
 
 
 def check_fault_means(
@@ -80,17 +78,19 @@ class FaultEvent:
 
 
 class FaultState:
-    """Tracks which physical links are currently down.
+    """Fails and repairs the cables of a network.
 
-    Both directions of a cable fail together (a fiber cut).  The state
-    integrates with admission through :meth:`kill_flows_on`, which
-    releases every reservation of the flows crossing a failed link and
-    returns their identifiers so callers can tear them down end to end.
+    Both directions of a cable fail together (a fiber cut).  A down
+    cable's links read :data:`DOWN_CAPACITY_BPS` in the capacity column
+    until :meth:`repair` writes back the nominal capacities that
+    :meth:`fail` saved; those saved values are the only record of which
+    cables are down.
     """
 
     def __init__(self, network: Network) -> None:
         self.network = network
-        self._down: set[frozenset[NodeId]] = set()
+        #: Each down cable's ``(link id, nominal capacity)`` pairs.
+        self._nominal: dict[frozenset[NodeId], list[tuple[int, float]]] = {}
         self.events: list[FaultEvent] = []
 
     @staticmethod
@@ -99,17 +99,11 @@ class FaultState:
 
     def is_down(self, u: NodeId, v: NodeId) -> bool:
         """Whether the physical cable between ``u`` and ``v`` is down."""
-        return self._cable(u, v) in self._down
+        return self._cable(u, v) in self._nominal
 
     def down_cables(self) -> list[tuple[NodeId, ...]]:
         """Currently failed cables as sorted node pairs."""
-        return sorted(tuple(sorted(cable, key=repr)) for cable in self._down)
-
-    def path_is_up(self, path: Sequence[NodeId]) -> bool:
-        """Whether every cable along ``path`` is functioning."""
-        return all(
-            not self.is_down(u, v) for u, v in zip(path, path[1:])
-        )
+        return sorted(tuple(sorted(cable, key=repr)) for cable in self._nominal)
 
     def fail(self, u: NodeId, v: NodeId, now: float = 0.0) -> list[FlowId]:
         """Fail the cable; returns the flows whose reservations crossed it.
@@ -122,10 +116,11 @@ class FaultState:
         if not self.network.has_link(u, v):
             raise ValueError(f"no cable between {u!r} and {v!r}")
         cable = self._cable(u, v)
-        if cable in self._down:
+        if cable in self._nominal:
             return []
-        self._down.add(cable)
+        capacity = self.network.link_state.capacity
         killed: list[FlowId] = []
+        saved: list[tuple[int, float]] = []
         for a, b in ((u, v), (v, u)):
             if self.network.has_link(a, b):
                 link = self.network.link(a, b)
@@ -134,53 +129,25 @@ class FaultState:
                     # every flow in it is held here, release cannot raise.
                     link.release(flow_id)  # repro-lint: disable=R5
                     killed.append(flow_id)
+                saved.append((link.index, capacity[link.index]))
+                capacity[link.index] = DOWN_CAPACITY_BPS
+                if _invariants.enabled:
+                    _invariants.check_link(link)
+        self._nominal[cable] = saved
         self.events.append(
             FaultEvent(time=now, link=(u, v), failed=True, killed_flows=tuple(killed))
         )
         return killed
 
     def repair(self, u: NodeId, v: NodeId, now: float = 0.0) -> None:
-        """Bring the cable back into service."""
-        cable = self._cable(u, v)
-        if cable not in self._down:
+        """Bring the cable back into service at its nominal capacity."""
+        saved = self._nominal.pop(self._cable(u, v), None)
+        if saved is None:
             return
-        self._down.discard(cable)
+        capacity = self.network.link_state.capacity
+        for index, nominal in saved:
+            capacity[index] = nominal
         self.events.append(FaultEvent(time=now, link=(u, v), failed=False))
-
-
-class FaultAwareReservationEngine(AtomicReservationEngine):
-    """Reservation engine that refuses routes crossing failed cables.
-
-    An :class:`repro.core.reservation.AtomicReservationEngine` with a
-    fault check, so AC-routers treat a failed link exactly like a
-    saturated one — the retrial mechanism then steers requests to other
-    group members, which is the paper's suggested fault-handling
-    extension.  A refusal on a failed cable counts as an attempt and a
-    failure.
-    """
-
-    def __init__(self, network: Network, faults: FaultState) -> None:
-        super().__init__(network)
-        self.faults = faults
-
-    def try_reserve(
-        self, route: "Route", flow_id: FlowId, bandwidth_bps: float
-    ) -> bool:
-        """Reserve unless saturated *or* the route crosses a failure."""
-        if not self.faults.path_is_up(route.path):
-            self.attempts += 1
-            self.failures += 1
-            return False
-        return super().try_reserve(route, flow_id, bandwidth_bps)
-
-    def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
-        """Release surviving reservations of a flow along ``path``.
-
-        After a fault some links may already have dropped the flow, so
-        this releases only where the reservation still exists.
-        """
-        for link in self.network.path_links(path):
-            link.release_if_held(flow_id)
 
 
 class FaultInjector:

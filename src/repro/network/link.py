@@ -174,10 +174,10 @@ class Link:
 
     @property
     def utilization(self) -> float:
-        """Instantaneous fraction of capacity reserved (0 for zero-capacity)."""
+        """Instantaneous fraction of capacity reserved (0 without capacity)."""
         state = self._state
         capacity = state.capacity[self._index]
-        if capacity == 0:
+        if capacity <= 0:
             return 0.0
         return state.reserved[self._index] / capacity
 

@@ -49,17 +49,11 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from repro import invariants as _invariants
-from repro.core.admission import ReservationEngine
 from repro.core.retrial import ExponentialBackoff
 from repro.core.system import AdmissionSystem, SystemSpec, build_system
 from repro.flows.flow import FlowRequest
 from repro.flows.traffic import TrafficModel, WorkloadSpec
-from repro.network.faults import (
-    FaultAwareReservationEngine,
-    FaultInjector,
-    FaultState,
-    check_fault_means,
-)
+from repro.network.faults import FaultInjector, FaultState, check_fault_means
 from repro.network.topology import Network
 from repro.signaling.admission import SignalledACRouter
 from repro.signaling.channel import RetransmitPolicy, SignalingChannel
@@ -81,9 +75,11 @@ class FaultConfig:
 
     Enables the paper's Section 3 fault extension: cables alternate
     between up and down states with exponential holding times; flows
-    crossing a failing cable are torn down, and new requests simply
-    find those routes unreservable (retrial control then steers them
-    to other group members).
+    crossing a failing cable are torn down.  A down cable's links read
+    no capacity (see :mod:`repro.network.faults`), so new requests find
+    those routes unreservable and bandwidth-aware selectors give them
+    no weight; retrial control steers refused requests to other group
+    members.
 
     Attributes
     ----------
@@ -215,9 +211,11 @@ class AnycastSimulation:
         Batch size for the AP confidence interval.
     fault_config:
         Optional random link fail/repair behaviour, on the atomic plane
-        only.  Supported for the distributed systems; GDI's global path
-        search would need fault-aware routing, which is out of the
-        paper's scope.
+        only.  A fault is written into the link-state capacity column,
+        so the routers share the same plain atomic engine as a
+        fault-free run.  Supported for the distributed systems; GDI's
+        global path search would need fault-aware routing, which is out
+        of the paper's scope.
     chaos:
         Run on the signalled plane over a channel impaired as
         configured.  Needs a distributed system with an always-fresh
@@ -266,7 +264,7 @@ class AnycastSimulation:
         self.fault_state: Optional[FaultState] = None
         self._fault_injector: Optional[FaultInjector] = None
         # The engine every AC-router shares (None: a fresh atomic one).
-        reservation: "ReservationEngine | SignalledReservationEngine | None" = None
+        reservation: Optional[SignalledReservationEngine] = None
         if chaos is not None:
             self.channel = SignalingChannel(
                 self.simulator,
@@ -304,8 +302,6 @@ class AnycastSimulation:
             )
         elif fault_config is not None:
             self.fault_state = fault_state = FaultState(self.network)
-            # Failed routes are refused like saturated ones.
-            reservation = FaultAwareReservationEngine(self.network, fault_state)
             self._fault_injector = FaultInjector(
                 self.simulator,
                 fault_state,
@@ -403,12 +399,14 @@ class AnycastSimulation:
             flow = self._active.pop(flow_id, None)
             if flow is None:
                 continue
-            assert flow.departure is not None  # scheduled at admission
+            assert flow.departure is not None and flow.path is not None
             flow.departure.cancel()
             flow.departure = None
-            # The failed cable already dropped its legs; the fault-aware
-            # engine releases the rest.
-            self.system.release(flow)
+            # The failed cable already dropped its legs: release the
+            # rest by key, and mark the flow so no later release runs.
+            for link in self.network.path_links(flow.path):
+                link.release_if_held(flow_id)
+            flow.released = True
             self.metrics.record_flow_end()
             self.flows_dropped_by_faults += 1
 

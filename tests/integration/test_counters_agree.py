@@ -6,8 +6,9 @@ shared reservation engine (``attempts``/``failures``), and every
 decision is written into its request's record,
 :class:`repro.flows.flow.FlowRequest`.  These
 tests check that, after an atomic MCI run drained to empty, the three
-tell the same story, with and without link faults (a route refused
-on a failed cable counts as an attempt and a failure).
+tell the same story, with and without link faults: a down link reads
+no capacity, so a route refused on a failed cable counts as an
+attempt, a failure and one link rejection, like a saturated route.
 """
 
 import pytest
@@ -15,7 +16,6 @@ import pytest
 from repro.core.system import SystemSpec
 from repro.flows.group import AnycastGroup
 from repro.flows.traffic import WorkloadSpec
-from repro.network.faults import FaultAwareReservationEngine
 from repro.network.topologies import MCI_GROUP_MEMBERS, MCI_SOURCES, mci_backbone
 from repro.sim.simulation import AnycastSimulation, FaultConfig
 
@@ -65,6 +65,10 @@ def test_counters_agree_after_drained_run(fault_config):
 
     assert engine.attempts == sum(decision.attempts for decision in decisions)
     assert engine.attempts - engine.failures == admitted
+    # Each refused attempt is refused by exactly one link.
+    assert sum(link.rejections for link in simulation.network.links()) == (
+        engine.failures
+    )
     assert sum(router.requests_seen for router in routers) == len(decisions)
     # The request past the horizon is generated but never offered.
     assert len(decisions) == simulation.traffic.generated_count - 1
@@ -76,7 +80,6 @@ def test_counters_agree_after_drained_run(fault_config):
     assert result.requests == len(window)
     assert result.admitted == sum(decision.admitted for decision in window)
     if fault_config is not None:
-        assert isinstance(engine, FaultAwareReservationEngine)
         assert simulation.fault_state.events
         assert simulation.flows_dropped_by_faults > 0
 

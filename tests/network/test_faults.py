@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from repro.network.faults import (
-    FaultAwareReservationEngine,
-    FaultInjector,
-    FaultState,
-)
-from repro.network.routing import Route
-from repro.network.topologies import line, mci_backbone
+from repro.core.reservation import AtomicReservationEngine
+from repro.core.system import SystemSpec, build_system
+from repro.flows.flow import FlowRequest
+from repro.flows.group import AnycastGroup
+from repro.flows.qos import QoSRequirement
+from repro.flows.traffic import WorkloadSpec
+from repro.network.faults import DOWN_CAPACITY_BPS, FaultInjector, FaultState
+from repro.network.routing import Route, RouteTable
+from repro.network.topologies import grid, line, mci_backbone
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import StreamFactory
+from repro.sim.simulation import AnycastSimulation, FaultConfig
 
 
 @pytest.fixture
@@ -58,12 +61,23 @@ class TestFaultState:
         with pytest.raises(ValueError):
             faults.fail(0, 3)
 
-    def test_path_is_up(self, network):
+    def test_down_cable_reads_down_capacity(self, network):
         faults = FaultState(network)
-        assert faults.path_is_up((0, 1, 2, 3))
         faults.fail(2, 3)
-        assert not faults.path_is_up((0, 1, 2, 3))
-        assert faults.path_is_up((0, 1, 2))
+        for u, v in ((2, 3), (3, 2)):
+            assert network.link(u, v).capacity_bps == DOWN_CAPACITY_BPS
+        assert network.link(1, 2).capacity_bps == 10 * 64_000.0
+        assert network.path_available_bps((0, 1, 2)) > 0.0
+        assert network.path_available_bps((0, 1, 2, 3)) < 0.0
+
+    def test_repair_restores_the_exact_nominal_capacity(self):
+        network = line(3, capacity_bps=1e6 / 3)
+        nominal = network.link(0, 1).capacity_bps
+        faults = FaultState(network)
+        faults.fail(0, 1)
+        faults.repair(0, 1)
+        assert network.link(0, 1).capacity_bps == nominal
+        assert network.link(1, 0).capacity_bps == nominal
 
     def test_down_cables_listing(self, network):
         faults = FaultState(network)
@@ -81,30 +95,84 @@ class TestFaultState:
         ]
 
 
-class TestFaultAwareReservation:
+class TestDownLinkRefusal:
+    """The plain atomic engine refuses a down hop as it refuses a full one."""
+
     ROUTE = Route(source=0, destination=3, path=(0, 1, 2, 3))
 
     def test_refuses_failed_routes(self, network):
         faults = FaultState(network)
-        engine = FaultAwareReservationEngine(network, faults)
+        engine = AtomicReservationEngine(network)
         faults.fail(1, 2)
         assert not engine.try_reserve(self.ROUTE, "f", 64_000.0)
         assert (engine.attempts, engine.failures) == (1, 1)
         assert network.total_reserved_bps() == 0.0
+        # The refusal is the down link's, like any saturated link's.
+        assert network.link(1, 2).rejections == 1
 
-    def test_reserves_healthy_routes(self, network):
+    def test_reserves_healthy_and_repaired_routes(self, network):
         faults = FaultState(network)
-        engine = FaultAwareReservationEngine(network, faults)
+        engine = AtomicReservationEngine(network)
         assert engine.try_reserve(self.ROUTE, "f", 64_000.0)
         assert network.link(1, 2).holds("f")
+        faults.fail(2, 3)
+        faults.repair(2, 3)
+        assert engine.try_reserve(self.ROUTE, "g", 64_000.0)
 
-    def test_release_tolerates_partially_dropped_flows(self, network):
+    def test_release_stays_strict_for_normal_departures(self, network):
         faults = FaultState(network)
-        engine = FaultAwareReservationEngine(network, faults)
-        engine.try_reserve(self.ROUTE, "f", 64_000.0)
+        engine = AtomicReservationEngine(network)
+        assert engine.try_reserve(self.ROUTE, "f", 64_000.0)
         faults.fail(1, 2)  # drops the (1,2) leg of the flow
-        engine.release(self.ROUTE.path, "f")  # must not raise
+        with pytest.raises(KeyError):
+            engine.release(self.ROUTE.path, "f")
+        # The strict sweep still freed every leg that held the flow.
         assert network.total_reserved_bps() == 0.0
+
+
+class TestBandwidthSelectorsSeeFaults:
+    """WD/D+B and WD/D+H+B read a down cable as no bandwidth.
+
+    While a member's route is up, a member whose route crosses a failed
+    cable is never drawn: up routes here never fill, so every request
+    is admitted at its first draw.  Both the live view and a snapshot
+    taken after the failure see the fault.
+    """
+
+    TOPOLOGIES = {
+        "line": (lambda: line(5), 2, (0, 4)),
+        "grid": (lambda: grid(3, 3), 4, (0, 2, 6, 8)),
+    }
+
+    @pytest.mark.parametrize("refresh_s", [0.0, 1.0], ids=["live", "snapshot"])
+    @pytest.mark.parametrize("retrials", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["WD/D+B", "WD/D+H+B"])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_never_draws_a_down_member_while_an_up_one_remains(
+        self, topology, algorithm, retrials, refresh_s
+    ):
+        factory, source, members = self.TOPOLOGIES[topology]
+        network = factory()
+        group = AnycastGroup("A", members)
+        down = members[0]
+        path = RouteTable(network, source, members).route_to(down).path
+        FaultState(network).fail(path[-2], path[-1])
+        system = build_system(
+            SystemSpec(algorithm, retrials=retrials, bandwidth_refresh_s=refresh_s),
+            network,
+            (source,),
+            group,
+            StreamFactory(8),
+            clock=lambda: 0.0,
+        )
+        up = set(members) - {down}
+        for flow_id in range(200):
+            request = FlowRequest(flow_id, source, group, QoSRequirement(64_000.0))
+            system.admit(request, now=0.0)
+            assert request.admitted
+            if down in request.tried:
+                assert up <= set(request.tried[: request.tried.index(down)])
+            system.release(request)
 
 
 class TestFaultInjector:
@@ -225,49 +293,85 @@ class TestInjectorStop:
 class TestIdempotentRelease:
     """Regression: fail -> repair -> late release must be a no-op replay.
 
-    A flow killed by a fault has already lost its reservations on the
-    failed cable (and, via the kill callback, everywhere else).  The
-    flow's departure timer still fires later and calls release again;
-    that late release must not raise and must not disturb bandwidth
-    reserved since (e.g. by flows admitted after the repair).
+    A flow killed by a fault is torn down by key, exactly once: the
+    driver releases the killed flow's surviving legs with
+    ``release_if_held``, cancels its departure and marks the record
+    ``released``, so any later release of it is a no-op that cannot
+    disturb bandwidth reserved since (e.g. by flows admitted after the
+    repair).
     """
 
-    ROUTE = Route(source=0, destination=3, path=(0, 1, 2, 3))
+    PATH = (0, 1, 2, 3)
 
-    def test_fail_repair_then_late_release(self, network):
-        faults = FaultState(network)
-        engine = FaultAwareReservationEngine(network, faults)
-        assert engine.try_reserve(self.ROUTE, "victim", 64_000.0)
+    @staticmethod
+    def _simulation():
+        # Cable faults on (1, 2) and (2, 3) with a mean up-time far past
+        # these tests: every fail and repair below is made by hand.
+        return AnycastSimulation(
+            network_factory=lambda: line(4, capacity_bps=10 * 64_000.0),
+            system_spec=SystemSpec("ED", retrials=1),
+            workload=WorkloadSpec(
+                arrival_rate=1.0, sources=(0,), group=AnycastGroup("A", (3,))
+            ),
+            warmup_s=0.0,
+            measure_s=10.0,
+            fault_config=FaultConfig(1e9, 1.0, cables=((1, 2), (2, 3))),
+        )
 
-        killed = faults.fail(1, 2)
-        assert killed == ["victim"]
-        # The kill callback's end-to-end teardown (idempotent by path).
-        engine.release(self.ROUTE.path, "victim")
-        faults.repair(1, 2)
+    @staticmethod
+    def _admit(simulation, flow_id):
+        request = FlowRequest(
+            flow_id,
+            0,
+            simulation.workload.group,
+            QoSRequirement(64_000.0),
+            lifetime_s=100.0,
+        )
+        request.driver = simulation
+        simulation.on_arrival(request)
+        assert request.admitted
+        return request
+
+    def _fail(self, simulation, u, v):
+        simulation._handle_fault((u, v), simulation.fault_state.fail(u, v))
+
+    def test_fault_runs_share_the_plain_engine(self):
+        simulation = self._simulation()
+        engine = simulation.system.controller_for(0).reservation
+        assert type(engine) is AtomicReservationEngine
+
+    def test_fail_repair_then_late_release(self):
+        simulation = self._simulation()
+        network = simulation.network
+        victim = self._admit(simulation, "victim")
+
+        self._fail(simulation, 1, 2)
+        assert victim.released and victim.departure is None
+        assert simulation.flows_dropped_by_faults == 1
+        assert network.total_reserved_bps() == 0.0
+        simulation.fault_state.repair(1, 2)
 
         # A new flow reuses the capacity after the repair.
-        assert engine.try_reserve(self.ROUTE, "survivor", 64_000.0)
+        self._admit(simulation, "survivor")
         reserved_before = network.total_reserved_bps()
 
-        # The victim's departure fires long after fail/repair: both the
-        # second and an accidental third release must be no-ops.
-        engine.release(self.ROUTE.path, "victim")
-        engine.release(self.ROUTE.path, "victim")
+        # Both a second and an accidental third release are no-ops.
+        simulation.system.release(victim)
+        simulation.system.release(victim)
         assert network.total_reserved_bps() == reserved_before
-        for u, v in zip(self.ROUTE.path, self.ROUTE.path[1:]):
-            assert network.link(u, v).holds("survivor")
-            assert not network.link(u, v).holds("victim")
+        for link in network.path_links(self.PATH):
+            assert link.holds("survivor")
+            assert not link.holds("victim")
 
-    def test_release_after_partial_fault_teardown(self, network):
-        faults = FaultState(network)
-        engine = FaultAwareReservationEngine(network, faults)
-        assert engine.try_reserve(self.ROUTE, "f", 64_000.0)
-        # The fault only strips the failed cable's own reservations...
-        faults.fail(2, 3)
-        assert network.link(0, 1).holds("f")
-        # ...so release must clean the survivors and skip the rest.
-        engine.release(self.ROUTE.path, "f")
-        engine.release(self.ROUTE.path, "f")  # idempotent replay
+    def test_release_after_partial_fault_teardown(self):
+        simulation = self._simulation()
+        network = simulation.network
+        flow = self._admit(simulation, "f")
+        # The fault only strips the failed cable's own reservations;
+        # the driver releases the surviving legs by key.
+        self._fail(simulation, 2, 3)
+        assert network.total_reserved_bps() == 0.0
+        simulation.system.release(flow)  # idempotent replay
         assert network.total_reserved_bps() == 0.0
 
 

@@ -10,10 +10,14 @@ on the way is also checked against the link-accounting invariants.
 import pytest
 
 from repro import invariants
+from repro.core.reservation import AtomicReservationEngine
 from repro.core.system import SystemSpec
 from repro.flows.group import AnycastGroup
+from repro.flows.qos import QoSRequirement
 from repro.flows.traffic import WorkloadSpec
 from repro.network.faults import FaultState
+from repro.network.link import ADMIT_EPSILON_BPS, InsufficientBandwidthError, Link
+from repro.network.routing import Route
 from repro.network.topologies import (
     MCI_GROUP_MEMBERS,
     MCI_SOURCES,
@@ -76,6 +80,33 @@ class TestFailRepairConservation:
         second = faults.fail(0, 1)
         assert first == [] and second == []
         assert len(faults.events) == 1
+
+
+class TestDownValueEpsilonEdge:
+    """A down link refuses even a request inside the admission slack."""
+
+    @pytest.mark.parametrize(
+        "bandwidth", [ADMIT_EPSILON_BPS, ADMIT_EPSILON_BPS / 2, 5e-324]
+    )
+    def test_down_link_refuses_every_positive_request(self, sanitizer, bandwidth):
+        QoSRequirement(bandwidth)  # a valid request asks for this much
+        network = line(4)
+        FaultState(network).fail(1, 2)
+        link = network.link(1, 2)
+        assert not link.can_admit(bandwidth)
+        with pytest.raises(InsufficientBandwidthError):
+            link.reserve("f", bandwidth)
+        path = (0, 1, 2, 3)
+        assert not network.reserve_links(network.path_links(path), "f", bandwidth)
+        engine = AtomicReservationEngine(network)
+        assert not engine.try_reserve(Route(0, 3, path), "f", bandwidth)
+        invariants.check_network(network)
+        assert network.total_reserved_bps() == 0.0
+
+    def test_zero_capacity_admits_inside_the_slack(self):
+        # Why a down link does not read 0.0: the slack would let a
+        # positive request at or below it through.
+        assert Link(0, 1, capacity_bps=0.0).can_admit(ADMIT_EPSILON_BPS)
 
 
 class TestFaultySimulationConservation:
