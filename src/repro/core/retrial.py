@@ -66,32 +66,6 @@ class CounterRetrialPolicy:
         return f"CounterRetrialPolicy(R={self.max_attempts})"
 
 
-class AlwaysRetryPolicy:
-    """Ablation: exhaust every distinct destination (R = K).
-
-    Equivalent to ``CounterRetrialPolicy(group_size)`` for any request;
-    provided for readability in ablation configs.
-    """
-
-    def should_retry(self, attempts_made: int, distinct_tried: int, group_size: int) -> bool:
-        """Retry until every member has been tried."""
-        return distinct_tried < group_size
-
-    def __repr__(self) -> str:
-        return "AlwaysRetryPolicy()"
-
-
-class NeverRetryPolicy:
-    """Ablation: single-shot admission, identical to ``R = 1``."""
-
-    def should_retry(self, attempts_made: int, distinct_tried: int, group_size: int) -> bool:
-        """Never retry."""
-        return False
-
-    def __repr__(self) -> str:
-        return "NeverRetryPolicy()"
-
-
 class ExponentialBackoff:
     """Per-hop retransmission timeout schedule with optional jitter.
 

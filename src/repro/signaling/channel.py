@@ -132,11 +132,6 @@ class SignalingChannel:
         # Arrival delays drawn by plan() for the next send(), if any.
         self._planned: Optional[tuple[float, ...]] = None
 
-    @property
-    def impaired(self) -> bool:
-        """Whether any impairment is active."""
-        return self._impaired
-
     def plan(self, delay_s: float) -> tuple[float, ...]:
         """Draw the fate of the next transmission of a ``delay_s`` message.
 

@@ -1,16 +1,18 @@
 """Hop-by-hop RSVP-lite reservation sessions.
 
-One :class:`RsvpSession` performs one check-and-reserve attempt along
-a fixed route in simulated time:
+A :class:`SignalledReservationEngine` is the signalling plane: every
+:meth:`~SignalledReservationEngine.reserve` runs one session of the
+engine, a check-and-reserve attempt along a fixed route in simulated
+time:
 
 1. a PATH message travels source → destination, advisorily checking
    available bandwidth at each hop (failing fast where bandwidth is
    already missing);
 2. at the destination it turns around as a RESV message that travels
    destination → source, *actually* reserving bandwidth on each link
-   (in the upstream direction of data flow) and accumulating the
-   bottleneck available bandwidth — the route-bandwidth feedback the
-   WD/D+B algorithm needs RESV to carry;
+   (in the upstream direction of data flow).  RESV carries no
+   bottleneck: WD/D+B reads each route's available bandwidth from the
+   link-state columns, not from the reservation's messages;
 3. if a link refuses (a competing session won the race since the PATH
    probe), a PATH_ERR is charged for the remaining distance to the
    source and a TEAR sweeps downstream, releasing the partial
@@ -69,15 +71,6 @@ FlowId = Hashable
 DEFAULT_PROCESSING_DELAY_S = 0.0002
 
 
-def _check_processing_delay(processing_delay_s: float) -> None:
-    # Written so that NaN fails.
-    if not 0.0 <= processing_delay_s < math.inf:
-        raise ValueError(
-            "processing delay must be finite and non-negative, "
-            f"got {processing_delay_s}"
-        )
-
-
 @dataclass(slots=True)
 class ReservationOutcome:
     """Result of one signalled reservation attempt.
@@ -86,9 +79,6 @@ class ReservationOutcome:
     ----------
     success:
         Whether the route is now reserved for the flow.
-    bottleneck_bps:
-        Minimum available bandwidth observed by the RESV sweep
-        (``inf`` if the PATH probe failed before turning around).
     messages:
         Total messages transmitted (PATH + RESV + PATH_ERR hops,
         including retransmissions; TEAR messages are counted by the
@@ -105,58 +95,11 @@ class ReservationOutcome:
     """
 
     success: bool
-    bottleneck_bps: float
     messages: int
     latency_s: float
     failed_link: Optional[tuple] = None
     timed_out: bool = False
     retransmissions: int = 0
-
-
-class _Plane:
-    """What every session on one signalling plane shares, checked once.
-
-    A standalone :class:`RsvpSession` builds its own plane; a
-    :class:`SignalledReservationEngine` is the plane of all its
-    sessions, so the processing delay, the channel and the retransmit
-    policy are checked when the engine is built, not per attempt.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: Network,
-        processing_delay_s: float,
-        channel: Optional[SignalingChannel],
-        retransmit: Optional[RetransmitPolicy],
-        leases: Optional[LeaseTable],
-        on_tear_message: Optional[Callable[[], None]] = None,
-    ) -> None:
-        _check_processing_delay(processing_delay_s)
-        channel = channel if channel is not None else SignalingChannel(simulator)
-        if retransmit is None and (
-            channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0
-        ):
-            raise ValueError(
-                "a channel with loss or duplication requires a "
-                "RetransmitPolicy (timers recover losses and receivers "
-                "deduplicate copies)"
-            )
-        self.simulator = simulator
-        self.network = network
-        self.processing_delay_s = processing_delay_s
-        self.channel = channel
-        self.retransmit = retransmit
-        self.leases = leases
-        self._on_tear_message = on_tear_message
-
-    def tear_message(self) -> None:
-        """Count one TEAR transmission (teardown outlives its attempt)."""
-        if self._on_tear_message is not None:
-            self._on_tear_message()
-
-    def concluded(self, outcome: ReservationOutcome) -> None:
-        """An attempt on this plane concluded; its caller hears next."""
 
 
 class _TearSweep:
@@ -171,10 +114,15 @@ class _TearSweep:
     node ``i``.
     """
 
-    __slots__ = ("_plane", "_links", "_flow_id")
+    __slots__ = ("_engine", "_links", "_flow_id")
 
-    def __init__(self, plane: _Plane, links: Sequence[Link], flow_id: FlowId) -> None:
-        self._plane = plane
+    def __init__(
+        self,
+        engine: SignalledReservationEngine,
+        links: Sequence[Link],
+        flow_id: FlowId,
+    ) -> None:
+        self._engine = engine
         self._links = links
         self._flow_id = flow_id
 
@@ -186,7 +134,7 @@ class _TearSweep:
         """Release the upstream link of node ``node_index``, then forward."""
         link = self._links[node_index - 1]
         link.release_if_held(self._flow_id)
-        leases = self._plane.leases
+        leases = self._engine.leases
         if leases is not None:
             leases.drop_link(self._flow_id, link)
         self._forward(node_index)
@@ -200,10 +148,12 @@ class _TearSweep:
             # Nothing further downstream to tear (never installed, or
             # already collected); the sweep ends here.
             return
-        plane = self._plane
-        plane.tear_message()
-        delay = link.propagation_delay_s + plane.processing_delay_s
-        plane.channel.send(delay, lambda: self.release_and_forward(node_index + 1))
+        engine = self._engine
+        # TEARs outlive their attempt, so the engine charges them.
+        engine.total_messages += 1
+        engine.tear_messages += 1
+        delay = link.propagation_delay_s + engine.processing_delay_s
+        engine.channel.send(delay, lambda: self.release_and_forward(node_index + 1))
 
 
 class _Transfer:
@@ -219,24 +169,10 @@ class _Transfer:
     straggling copies cannot advance the protocol twice.
     """
 
-    __slots__ = (
-        "_session",
-        "_delay",
-        "_resv",
-        "_node",
-        "_bottleneck",
-        "_tries",
-        "_done",
-        "_timer",
-    )
+    __slots__ = ("_session", "_delay", "_resv", "_node", "_tries", "_done", "_timer")
 
     def __init__(
-        self,
-        session: "_Session",
-        delay_s: float,
-        resv: bool,
-        node_index: int,
-        bottleneck: float,
+        self, session: _Session, delay_s: float, resv: bool, node_index: int
     ) -> None:
         session._messages += 1
         self._session = session
@@ -245,7 +181,6 @@ class _Transfer:
         # is the sender's position on the path.
         self._resv = resv
         self._node = node_index
-        self._bottleneck = bottleneck
         self._tries = 0
         self._done = False
         self._timer: Optional[Event] = None
@@ -287,7 +222,7 @@ class _Transfer:
             self._timer = None
             timer.cancel()
         if self._resv:
-            self._session._advance_resv(self._node - 1, self._bottleneck)
+            self._session._advance_resv(self._node - 1)
         else:
             self._session._advance_path(self._node + 1)
 
@@ -300,7 +235,7 @@ class _Transfer:
             # Give up; suppress any straggler copies still in flight.
             self._done = True
             if self._resv:
-                session._resv_lost(self._node, self._bottleneck)
+                session._resv_lost(self._node)
             else:
                 session._path_lost(self._node)
             return
@@ -311,14 +246,15 @@ class _Transfer:
 
 
 class _Session:
-    """One PATH/RESV exchange for one flow over one route of a plane.
+    """One PATH/RESV exchange for one flow over one route of an engine.
 
-    The hops index the route's resolved links: ``_links[i]`` carries
-    the flow out of the path's node ``i``.
+    The engine's settings are copied into slots because every hop reads
+    them.  The hops index the route's resolved links: ``_links[i]``
+    carries the flow out of the path's node ``i``.
     """
 
     __slots__ = (
-        "_plane",
+        "_engine",
         "_simulator",
         "_channel",
         "_retransmit",
@@ -336,7 +272,7 @@ class _Session:
 
     def __init__(
         self,
-        plane: _Plane,
+        engine: SignalledReservationEngine,
         route: Route,
         flow_id: FlowId,
         bandwidth_bps: float,
@@ -344,19 +280,19 @@ class _Session:
     ) -> None:
         if not bandwidth_bps >= 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-        self._plane = plane
-        self._simulator = plane.simulator
-        self._channel = plane.channel
-        self._retransmit = plane.retransmit
-        self._leases = plane.leases
-        self._processing_delay = plane.processing_delay_s
-        self._links = route.resolve_links(plane.network)
+        self._engine = engine
+        self._simulator = engine.simulator
+        self._channel = engine.channel
+        self._retransmit = engine.retransmit
+        self._leases = engine.leases
+        self._processing_delay = engine.processing_delay_s
+        self._links = route.resolve_links(engine.network)
         self._flow_id = flow_id
         self._bandwidth = bandwidth_bps
         self._on_complete = on_complete
         self._messages = 0
         self._retransmissions = 0
-        self._started_at = plane.simulator.now
+        self._started_at = engine.simulator.now
         #: legs this session's RESV installed and no TEAR has taken
         #: over yet
         self._reserved_links: list[Link] = []
@@ -366,7 +302,7 @@ class _Session:
         """Launch the PATH probe from the source."""
         if not self._links:
             # Degenerate zero-hop route: nothing to reserve.
-            self._finish(success=True, bottleneck=float("inf"))
+            self._finish(success=True)
             return
         self._advance_path(hop_index=0)
 
@@ -377,43 +313,35 @@ class _Session:
         links = self._links
         if hop_index == len(links):
             # PATH reached the destination: turn around as RESV.
-            self._advance_resv(hop_index, math.inf)
+            self._advance_resv(hop_index)
             return
         link = links[hop_index]
         if not link.can_admit(self._bandwidth):
             # Fail fast: charge the hops travelled so far plus an error
             # message back to the source.
             self._messages += hop_index  # PATH_ERR retraces hop_index links
-            self._finish(
-                success=False,
-                bottleneck=float("inf"),
-                failed_link=(link.source, link.target),
-            )
+            self._finish(success=False, failed_link=(link.source, link.target))
             return
         delay = link.propagation_delay_s + self._processing_delay
-        _Transfer(self, delay, False, hop_index, math.inf).transmit()
+        _Transfer(self, delay, False, hop_index).transmit()
 
     def _path_lost(self, hop_index: int) -> None:
         """The PATH transfer out of ``path[hop_index]`` exhausted retries."""
         link = self._links[hop_index]
         self._messages += hop_index  # PATH_ERR retraces hop_index links
         self._finish(
-            success=False,
-            bottleneck=float("inf"),
-            failed_link=(link.source, link.target),
-            timed_out=True,
+            success=False, failed_link=(link.source, link.target), timed_out=True
         )
 
     # ------------------------------------------------------------------
     # RESV phase: destination -> source, actual reservation
     # ------------------------------------------------------------------
-    def _advance_resv(self, node_index: int, bottleneck: float) -> None:
+    def _advance_resv(self, node_index: int) -> None:
         if node_index == 0:
-            self._finish(success=True, bottleneck=bottleneck)
+            self._finish(success=True)
             return
         links = self._links
         link = links[node_index - 1]
-        available_before = link.available_bps
         try:
             link.reserve(self._flow_id, self._bandwidth)
         except InsufficientBandwidthError:
@@ -424,21 +352,16 @@ class _Session:
             self._messages += node_index
             if self._reserved_links:
                 self._reserved_links.clear()
-                _TearSweep(self._plane, links, self._flow_id).start_from(node_index)
-            self._finish(
-                success=False,
-                bottleneck=bottleneck,
-                failed_link=(link.source, link.target),
-            )
+                _TearSweep(self._engine, links, self._flow_id).start_from(node_index)
+            self._finish(success=False, failed_link=(link.source, link.target))
             return
         self._reserved_links.append(link)
         if self._leases is not None:
             self._leases.register(self._flow_id, link)
-        bottleneck = min(bottleneck, available_before)
         delay = link.propagation_delay_s + self._processing_delay
-        _Transfer(self, delay, True, node_index, bottleneck).transmit()
+        _Transfer(self, delay, True, node_index).transmit()
 
-    def _resv_lost(self, node_index: int, bottleneck: float) -> None:
+    def _resv_lost(self, node_index: int) -> None:
         """The RESV transfer out of ``path[node_index]`` exhausted retries.
 
         The node releases its own upstream leg immediately (it knows
@@ -446,93 +369,41 @@ class _Session:
         source-side outcome is a timed-out failure.
         """
         self._reserved_links.clear()
-        _TearSweep(self._plane, self._links, self._flow_id).release_and_forward(
+        _TearSweep(self._engine, self._links, self._flow_id).release_and_forward(
             node_index
         )
         link = self._links[node_index - 1]
         self._finish(
-            success=False,
-            bottleneck=bottleneck,
-            failed_link=(link.source, link.target),
-            timed_out=True,
+            success=False, failed_link=(link.source, link.target), timed_out=True
         )
 
     # ------------------------------------------------------------------
     def _finish(
         self,
         success: bool,
-        bottleneck: float,
         failed_link: Optional[tuple] = None,
         timed_out: bool = False,
     ) -> None:
         outcome = ReservationOutcome(
             success=success,
-            bottleneck_bps=bottleneck,
             messages=self._messages,
             latency_s=self._simulator.now - self._started_at,
             failed_link=failed_link,
             timed_out=timed_out,
             retransmissions=self._retransmissions,
         )
-        self._plane.concluded(outcome)
+        engine = self._engine
+        if not success:
+            engine.failures += 1
+        engine.total_messages += outcome.messages
+        engine.total_latency_s += outcome.latency_s
+        engine.total_retransmissions += outcome.retransmissions
+        if timed_out:
+            engine.timeouts += 1
         self._on_complete(outcome)
 
 
-class RsvpSession(_Session):
-    """One PATH/RESV exchange for one flow over one route.
-
-    Parameters
-    ----------
-    simulator, network, route, flow_id, bandwidth_bps, on_complete:
-        As before; ``flow_id`` doubles as the reservation key on every
-        link (callers running retries pass a per-attempt key so a
-        timed-out attempt's orphans never collide with a later
-        attempt).
-    processing_delay_s:
-        Per-hop message processing time (finite, non-negative).
-    channel:
-        Delivery substrate; defaults to the perfect channel.  A channel
-        with loss or duplication requires ``retransmit`` (timers
-        provide both recovery and receiver-side deduplication).
-    retransmit:
-        Optional per-hop timeout/retransmission policy.
-    leases:
-        Optional soft-state lease table; every installed per-link
-        reservation is registered under ``flow_id``.
-    on_tear_message:
-        Invoked once per TEAR transmission (teardown outlives the
-        attempt, so these are not in ``ReservationOutcome.messages``).
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: Network,
-        route: Route,
-        flow_id: FlowId,
-        bandwidth_bps: float,
-        on_complete: Callable[[ReservationOutcome], None],
-        processing_delay_s: float = DEFAULT_PROCESSING_DELAY_S,
-        channel: Optional[SignalingChannel] = None,
-        retransmit: Optional[RetransmitPolicy] = None,
-        leases: Optional[LeaseTable] = None,
-        on_tear_message: Optional[Callable[[], None]] = None,
-    ):
-        plane = _Plane(
-            simulator,
-            network,
-            processing_delay_s,
-            channel,
-            retransmit,
-            leases,
-            on_tear_message,
-        )
-        super().__init__(plane, route, flow_id, bandwidth_bps, on_complete)
-
-
-class SignalledReservationEngine(_Plane):
+class SignalledReservationEngine:
     """Asynchronous reservation engine driving RSVP-lite sessions.
 
     The message-level sibling of
@@ -541,11 +412,26 @@ class SignalledReservationEngine(_Plane):
     round-trip signalling delay, and message/latency totals accumulate
     for overhead reporting.
 
-    Every session and every release goes through ``channel`` (the
-    perfect channel unless given); releases travel as hop-by-hop TEAR
-    sweeps, so the links free up one hop delay apart.  The engine is
-    the plane its sessions share: a channel with loss or duplication
-    and no ``retransmit`` policy is refused here, before any attempt.
+    Parameters
+    ----------
+    simulator, network:
+        The clock the sessions run on and the links they reserve.
+    processing_delay_s:
+        Per-hop message processing time (finite, non-negative).
+    channel:
+        Delivery substrate for every session and release; defaults to
+        the perfect channel.  A channel with loss or duplication
+        requires ``retransmit`` (timers provide both recovery and
+        receiver-side deduplication) and is refused here, before any
+        attempt, without one.
+    retransmit:
+        Optional per-hop timeout/retransmission policy.
+    leases:
+        Optional soft-state lease table; every installed per-link
+        reservation is registered under its reservation key.
+
+    Releases travel as hop-by-hop TEAR sweeps, so the links free up
+    one hop delay apart.
     """
 
     def __init__(
@@ -557,9 +443,27 @@ class SignalledReservationEngine(_Plane):
         retransmit: Optional[RetransmitPolicy] = None,
         leases: Optional[LeaseTable] = None,
     ):
-        super().__init__(
-            simulator, network, processing_delay_s, channel, retransmit, leases
-        )
+        # Written so that NaN fails.
+        if not 0.0 <= processing_delay_s < math.inf:
+            raise ValueError(
+                "processing delay must be finite and non-negative, "
+                f"got {processing_delay_s}"
+            )
+        channel = channel if channel is not None else SignalingChannel(simulator)
+        if retransmit is None and (
+            channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0
+        ):
+            raise ValueError(
+                "a channel with loss or duplication requires a "
+                "RetransmitPolicy (timers recover losses and receivers "
+                "deduplicate copies)"
+            )
+        self.simulator = simulator
+        self.network = network
+        self.processing_delay_s = processing_delay_s
+        self.channel = channel
+        self.retransmit = retransmit
+        self.leases = leases
         self.attempts = 0
         self.failures = 0
         self.total_messages = 0
@@ -570,21 +474,6 @@ class SignalledReservationEngine(_Plane):
         self.timeouts = 0
         #: TEAR transmissions (teardowns outlive their attempts)
         self.tear_messages = 0
-
-    def tear_message(self) -> None:
-        """Charge one TEAR transmission to the totals."""
-        self.total_messages += 1
-        self.tear_messages += 1
-
-    def concluded(self, outcome: ReservationOutcome) -> None:
-        """Add one attempt's outcome to the totals."""
-        if not outcome.success:
-            self.failures += 1
-        self.total_messages += outcome.messages
-        self.total_latency_s += outcome.latency_s
-        self.total_retransmissions += outcome.retransmissions
-        if outcome.timed_out:
-            self.timeouts += 1
 
     def reserve(
         self,
@@ -597,7 +486,8 @@ class SignalledReservationEngine(_Plane):
 
         ``flow_id`` is the reservation key on every link;
         :class:`repro.signaling.admission.SignalledACRouter` passes a
-        per-attempt key.
+        per-attempt key so a timed-out attempt's orphans never collide
+        with a later attempt.
         """
         self.attempts += 1
         _Session(self, route, flow_id, bandwidth_bps, on_complete).start()

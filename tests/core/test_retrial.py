@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.core.retrial import (
-    AlwaysRetryPolicy,
-    CounterRetrialPolicy,
-    ExponentialBackoff,
-    NeverRetryPolicy,
-)
+from repro.core.retrial import CounterRetrialPolicy, ExponentialBackoff
 from repro.signaling.channel import RetransmitPolicy
 from repro.sim.random_streams import StreamFactory
 
@@ -35,19 +30,6 @@ class TestCounterRetrialPolicy:
 
     def test_repr_mentions_r(self):
         assert "R=4" in repr(CounterRetrialPolicy(4))
-
-
-class TestAlwaysRetryPolicy:
-    def test_retries_until_group_exhausted(self):
-        policy = AlwaysRetryPolicy()
-        assert policy.should_retry(attempts_made=4, distinct_tried=4, group_size=5)
-        assert not policy.should_retry(attempts_made=5, distinct_tried=5, group_size=5)
-
-
-class TestNeverRetryPolicy:
-    def test_never_retries(self):
-        policy = NeverRetryPolicy()
-        assert not policy.should_retry(attempts_made=1, distinct_tried=1, group_size=5)
 
 
 class TestRetransmissionTimingValidation:

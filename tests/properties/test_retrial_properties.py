@@ -4,8 +4,8 @@ Pins the boundary semantics the admission loop and the signalling
 retransmitter rely on:
 
 * ``CounterRetrialPolicy(max_attempts=1)`` means *no* retry, ever;
-* ``AlwaysRetryPolicy`` is still bounded by the group size (every
-  member tried at most once per request);
+* retrying on every failure (``R = K``) is still bounded by the group
+  size (every member tried at most once per request);
 * ``ExponentialBackoff`` is deterministic given a seeded stream,
   capped at its maximum, and jittered within the declared band.
 """
@@ -13,12 +13,7 @@ retransmitter rely on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.retrial import (
-    AlwaysRetryPolicy,
-    CounterRetrialPolicy,
-    ExponentialBackoff,
-    NeverRetryPolicy,
-)
+from repro.core.retrial import CounterRetrialPolicy, ExponentialBackoff
 from repro.sim.random_streams import StreamFactory
 
 attempts = st.integers(min_value=1, max_value=50)
@@ -49,19 +44,13 @@ class TestCounterPolicyBoundaries:
             assert made <= limit + group_size  # safety net
         assert made == min(limit, group_size)
 
-    @given(attempts_made=attempts, group_size=group_sizes)
-    def test_never_policy_refuses(self, attempts_made, group_size):
-        assert not NeverRetryPolicy().should_retry(
-            attempts_made=attempts_made,
-            distinct_tried=min(attempts_made, group_size),
-            group_size=group_size,
-        )
-
 
 class TestAlwaysRetryBoundedByGroup:
+    """``R = K``: retry after every failure until the group runs out."""
+
     @given(group_size=group_sizes)
     def test_stops_exactly_at_group_exhaustion(self, group_size):
-        policy = AlwaysRetryPolicy()
+        policy = CounterRetrialPolicy(max_attempts=group_size)
         made = 1
         while policy.should_retry(
             attempts_made=made,
@@ -75,7 +64,7 @@ class TestAlwaysRetryBoundedByGroup:
     @given(attempts_made=attempts, group_size=group_sizes)
     def test_retries_iff_members_remain(self, attempts_made, group_size):
         distinct = min(attempts_made, group_size)
-        assert AlwaysRetryPolicy().should_retry(
+        assert CounterRetrialPolicy(max_attempts=group_size).should_retry(
             attempts_made=attempts_made,
             distinct_tried=distinct,
             group_size=group_size,

@@ -1,8 +1,8 @@
 """Property: lazily armed hop timers reproduce the eager timer chain.
 
-``RsvpSession`` asks the channel for a transmission's fate before it
-sends it, and schedules the hop's retransmission timer only when no copy
-arrives strictly before the timeout.  The oracle below is the hop
+A signalled session asks the channel for a transmission's fate before
+it sends it, and schedules the hop's retransmission timer only when no
+copy arrives strictly before the timeout.  The oracle below is the hop
 transfer as it was before that: every transmission schedules its timer
 first and then sends, and a copy that lands in time cancels the timer.
 Every ``ChaosResult`` field must agree with the oracle across loss,
@@ -71,14 +71,14 @@ def eager_transfer(self, delay_s, deliver, on_lost):
 class EagerTransfer:
     """Stands in for ``rsvp._Transfer`` and runs :func:`eager_transfer`."""
 
-    def __init__(self, session, delay_s, resv, node_index, bottleneck):
-        self._args = (session, delay_s, resv, node_index, bottleneck)
+    def __init__(self, session, delay_s, resv, node_index):
+        self._args = (session, delay_s, resv, node_index)
 
     def transmit(self):
-        session, delay_s, resv, node, bottleneck = self._args
+        session, delay_s, resv, node = self._args
         if resv:
-            deliver = functools.partial(session._advance_resv, node - 1, bottleneck)
-            on_lost = functools.partial(session._resv_lost, node, bottleneck)
+            deliver = functools.partial(session._advance_resv, node - 1)
+            on_lost = functools.partial(session._resv_lost, node)
         else:
             deliver = functools.partial(session._advance_path, node + 1)
             on_lost = functools.partial(session._path_lost, node)

@@ -40,9 +40,6 @@ class TestPerfectChannel:
         chan_sim.run()
         assert order_channel == order_direct
 
-    def test_not_impaired(self, simulator):
-        assert not SignalingChannel(simulator).impaired
-
 
 class TestLoss:
     def test_loss_rate_one_is_rejected(self, simulator):

@@ -11,7 +11,7 @@ from repro.core.retrial import ExponentialBackoff
 from repro.network.routing import Route
 from repro.network.topologies import line
 from repro.signaling.channel import RetransmitPolicy, SignalingChannel
-from repro.signaling.rsvp import RsvpSession, SignalledReservationEngine
+from repro.signaling.rsvp import SignalledReservationEngine
 from repro.signaling.softstate import LeaseTable
 from repro.sim.random_streams import StreamFactory
 
@@ -64,18 +64,10 @@ def run_robust(
     bandwidth=64_000.0,
 ):
     outcomes = []
-    session = RsvpSession(
-        simulator,
-        network,
-        ROUTE,
-        flow_id,
-        bandwidth,
-        outcomes.append,
-        channel=channel,
-        retransmit=retransmit,
-        leases=leases,
+    engine = SignalledReservationEngine(
+        simulator, network, channel=channel, retransmit=retransmit, leases=leases
     )
-    session.start()
+    engine.reserve(ROUTE, flow_id, bandwidth, outcomes.append)
     simulator.run()
     assert len(outcomes) == 1
     return outcomes[0]
@@ -88,11 +80,8 @@ class TestValidation:
             loss_rate=0.1,
             loss_rng=StreamFactory(0).stream("loss"),
         )
-        with pytest.raises(ValueError):
-            RsvpSession(
-                simulator, network, ROUTE, "f", 64_000.0, lambda o: None,
-                channel=channel,
-            )
+        with pytest.raises(ValueError, match="RetransmitPolicy"):
+            SignalledReservationEngine(simulator, network, channel=channel)
 
     def test_delay_only_channel_needs_no_retransmit(self, simulator, network):
         channel = SignalingChannel(
@@ -173,18 +162,14 @@ class TestGiveUp:
         # is lost too, so (2,3) stays stranded until its lease expires.
         channel = ScriptedChannel(simulator, drop_indices={4, 5, 6})
         outcomes = []
-        session = RsvpSession(
+        engine = SignalledReservationEngine(
             simulator,
             network,
-            ROUTE,
-            "f1",
-            64_000.0,
-            outcomes.append,
             channel=channel,
             retransmit=policy(max_retransmits=1),
             leases=leases,
         )
-        session.start()
+        engine.reserve(ROUTE, "f1", 64_000.0, outcomes.append)
         simulator.run(until=1.0)  # bounded: before the TTL expires
         assert len(outcomes) == 1 and not outcomes[0].success
         assert network.link(2, 3).holds("f1")  # stranded right now
@@ -192,6 +177,49 @@ class TestGiveUp:
         assert network.total_reserved_bps() == 0.0
         assert leases.orphans_collected == 1
         assert leases.reclaimed_bps == pytest.approx(64_000.0)
+
+
+class TestRefusalCause:
+    """``failed_link`` names the refusing link on every refusal path.
+
+    PATH hops are transmissions 0-2 and the first RESV hop (out of node
+    3, over (2,3)) is transmission 3.  Only the two give-ups time out.
+    """
+
+    @pytest.mark.parametrize(
+        "drops, blocked, stolen, failed_link, timed_out",
+        [
+            pytest.param(set(), (2, 3), None, (2, 3), False, id="path-probe"),
+            # PATH over (1,2) and both its retransmissions are lost.
+            pytest.param({1, 2, 3}, None, None, (1, 2), True, id="path-give-up"),
+            # (0,1) is taken after the PATH probe, before RESV reaches it.
+            pytest.param(set(), None, (0, 1), (0, 1), False, id="resv-race"),
+            # RESV over (2,3) and both its retransmissions are lost.
+            pytest.param({3, 4, 5}, None, None, (2, 3), True, id="resv-give-up"),
+        ],
+    )
+    def test_failed_link_and_timed_out(
+        self, simulator, network, drops, blocked, stolen, failed_link, timed_out
+    ):
+        channel = ScriptedChannel(simulator, drop_indices=drops)
+        engine = SignalledReservationEngine(
+            simulator, network, channel=channel, retransmit=policy(max_retransmits=2)
+        )
+        if blocked is not None:
+            network.link(*blocked).reserve("blocker", 64_000.0)
+        if stolen is not None:
+            simulator.schedule(
+                0.004, lambda: network.link(*stolen).reserve("thief", 64_000.0)
+            )
+        outcomes = []
+        engine.reserve(ROUTE, "f1", 64_000.0, outcomes.append)
+        simulator.run()
+        (outcome,) = outcomes
+        assert not outcome.success
+        assert outcome.failed_link == failed_link
+        assert outcome.timed_out is timed_out
+        assert engine.timeouts == int(timed_out)
+        assert not any(link.holds("f1") for link in network.links())
 
 
 class TestLazyTimer:
@@ -211,15 +239,8 @@ class TestLazyTimer:
     def test_hop_delivered_in_time_leaves_no_timer(self, simulator, network):
         calls = self.counting_schedules(simulator)
         outcomes = []
-        RsvpSession(
-            simulator,
-            network,
-            ROUTE,
-            "f1",
-            64_000.0,
-            outcomes.append,
-            retransmit=policy(),
-        ).start()
+        engine = SignalledReservationEngine(simulator, network, retransmit=policy())
+        engine.reserve(ROUTE, "f1", 64_000.0, outcomes.append)
         assert simulator.pending_count == 1  # the PATH copy, no timer
         simulator.run()
         assert outcomes[0].success
@@ -230,16 +251,10 @@ class TestLazyTimer:
     def test_lost_copy_arms_the_timer(self, simulator, network):
         channel = ScriptedChannel(simulator, drop_indices={0})
         calls = self.counting_schedules(simulator)
-        RsvpSession(
-            simulator,
-            network,
-            ROUTE,
-            "f1",
-            64_000.0,
-            lambda o: None,
-            channel=channel,
-            retransmit=policy(),
-        ).start()
+        engine = SignalledReservationEngine(
+            simulator, network, channel=channel, retransmit=policy()
+        )
+        engine.reserve(ROUTE, "f1", 64_000.0, lambda o: None)
         # Only the timer is pending: the sole copy was dropped.
         assert simulator.pending_count == 1
         assert len(calls) == 1
@@ -251,18 +266,15 @@ class TestLazyTimer:
         # fires first, so every hop is retransmitted once.
         network = line(4, capacity_bps=64_000.0, propagation_delay_s=0.0625)
         outcomes = []
-        RsvpSession(
+        engine = SignalledReservationEngine(
             simulator,
             network,
-            ROUTE,
-            "f1",
-            64_000.0,
-            outcomes.append,
             processing_delay_s=0.0,
             retransmit=RetransmitPolicy(
                 ExponentialBackoff(0.0625, factor=1.0), max_retransmits=3
             ),
-        ).start()
+        )
+        engine.reserve(ROUTE, "f1", 64_000.0, outcomes.append)
         simulator.run()
         (outcome,) = outcomes
         assert outcome.success

@@ -1,4 +1,4 @@
-"""Unit tests for RSVP-lite sessions (repro.signaling.rsvp)."""
+"""Unit tests for RSVP-lite signalling (repro.signaling.rsvp)."""
 
 import math
 
@@ -8,7 +8,7 @@ from repro.core.retrial import ExponentialBackoff
 from repro.network.routing import Route
 from repro.network.topologies import line
 from repro.signaling.channel import RetransmitPolicy, SignalingChannel
-from repro.signaling.rsvp import RsvpSession, SignalledReservationEngine
+from repro.signaling.rsvp import SignalledReservationEngine
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import StreamFactory
 
@@ -24,10 +24,8 @@ ROUTE = Route(source=0, destination=3, path=(0, 1, 2, 3))
 
 def run_session(simulator, network, route, flow_id, bandwidth):
     outcomes = []
-    session = RsvpSession(
-        simulator, network, route, flow_id, bandwidth, outcomes.append
-    )
-    session.start()
+    engine = SignalledReservationEngine(simulator, network)
+    engine.reserve(route, flow_id, bandwidth, outcomes.append)
     simulator.run()
     assert len(outcomes) == 1
     return outcomes[0]
@@ -49,16 +47,6 @@ class TestSuccessfulReservation:
         outcome = run_session(simulator, network, ROUTE, "f1", 64_000.0)
         # 6 hops x (1 ms propagation + 0.2 ms processing).
         assert outcome.latency_s == pytest.approx(6 * 0.0012, rel=1e-6)
-
-    def test_bottleneck_reported(self, simulator, network):
-        network.link(1, 2).release_if_held("x")
-        outcome = run_session(simulator, network, ROUTE, "f1", 32_000.0)
-        assert outcome.bottleneck_bps == pytest.approx(64_000.0)
-
-    def test_bottleneck_sees_partial_load(self, simulator, network):
-        network.link(1, 2).reserve("other", 30_000.0)
-        outcome = run_session(simulator, network, ROUTE, "f1", 10_000.0)
-        assert outcome.bottleneck_bps == pytest.approx(34_000.0)
 
     def test_zero_hop_route_trivially_succeeds(self, simulator, network):
         degenerate = Route(source=0, destination=0, path=(0,))
@@ -87,10 +75,8 @@ class TestFailedReservation:
     def test_race_rolls_back_partial_reservations(self, network):
         simulator = Simulator()
         outcomes = []
-        session = RsvpSession(
-            simulator, network, ROUTE, "f1", 64_000.0, outcomes.append
-        )
-        session.start()
+        engine = SignalledReservationEngine(simulator, network)
+        engine.reserve(ROUTE, "f1", 64_000.0, outcomes.append)
         # Let the PATH probe pass, then steal link (0,1) before the RESV
         # sweep reaches it (RESV reserves 2->3 then 1->2 then 0->1).
         simulator.schedule(0.004, lambda: network.link(0, 1).reserve("thief", 64_000.0))
@@ -108,10 +94,8 @@ class TestFailedReservation:
         # and strand (1,2).
         simulator = Simulator()
         outcomes = []
-        session = RsvpSession(
-            simulator, network, ROUTE, "f1", 64_000.0, outcomes.append
-        )
-        session.start()
+        engine = SignalledReservationEngine(simulator, network)
+        engine.reserve(ROUTE, "f1", 64_000.0, outcomes.append)
 
         def fault_and_steal():
             network.link(2, 3).release("f1")  # fault teardown took it
@@ -126,26 +110,18 @@ class TestFailedReservation:
         assert network.link(0, 1).holds("thief")
 
     def test_invalid_bandwidth_rejected(self, simulator, network):
+        engine = SignalledReservationEngine(simulator, network)
         with pytest.raises(ValueError):
-            RsvpSession(simulator, network, ROUTE, "f1", -1.0, lambda o: None)
+            engine.reserve(ROUTE, "f1", -1.0, lambda o: None)
 
     def test_nan_bandwidth_rejected(self, simulator, network):
+        engine = SignalledReservationEngine(simulator, network)
         with pytest.raises(ValueError):
-            RsvpSession(simulator, network, ROUTE, "f1", math.nan, lambda o: None)
+            engine.reserve(ROUTE, "f1", math.nan, lambda o: None)
 
     @pytest.mark.parametrize("delay", [math.nan, math.inf, -0.001])
     def test_bad_processing_delay_rejected(self, simulator, network, delay):
-        with pytest.raises(ValueError):
-            RsvpSession(
-                simulator,
-                network,
-                ROUTE,
-                "f1",
-                64_000.0,
-                lambda o: None,
-                processing_delay_s=delay,
-            )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="processing delay"):
             SignalledReservationEngine(simulator, network, processing_delay_s=delay)
 
 
