@@ -46,14 +46,14 @@ class AtomicReservationEngine:
         success; returns ``False`` and leaves the network untouched on
         failure.
         """
-        self.attempts += 1
-        if not bandwidth_bps >= 0:
-            raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
         # The route caches its resolved link objects, so repeated
         # attempts skip the per-hop (u, v) dict lookups entirely.
+        # reserve_links refuses a bad bandwidth or a held key with
+        # ValueError, before this counts the attempt.
         success = self.network.reserve_links(
             route.resolve_links(self.network), flow_id, bandwidth_bps
         )
+        self.attempts += 1
         if not success:
             self.failures += 1
         return success

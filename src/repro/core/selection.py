@@ -32,8 +32,8 @@ A draw reads a cumulative table (:func:`cumulative_table`): the
 candidates and the running sums of their weights.  ED and WD/D have
 fixed weights, so they build one table per refused set and keep it;
 WD/D+H and WD/D+H+B build one per draw from their live weights.
-WD/D+B on the live view builds the same table in one pass over the
-link-state columns, without the weight vector (see its docstring).
+WD/D+B builds the same table in one pass over the link-state columns,
+without the weight vector (see its docstring).
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
-    from repro.network.link import LinkStateArrays
-    from repro.network.state import BandwidthView
+    from repro.network.state import SnapshotBandwidthView
 
 from repro.core.history import AdmissionHistory
 from repro.flows.group import AnycastGroup
@@ -379,56 +378,54 @@ class _BandwidthScoredSelector(_WeightedSelectorBase):
     """Shared route scoring of WD/D+B and WD/D+H+B: ``max(0, B_i) / D_i``.
 
     ``B_i`` is the bottleneck available bandwidth of the fixed route to
-    member ``i`` as ``view`` reports it.  Under the live view each
-    route's link ids are resolved once, and :meth:`_column_scores`
-    scans the network's :class:`~repro.network.link.LinkStateArrays`
-    columns inline instead of calling the view per route.
+    member ``i``.  Each route's link ids are resolved once, and
+    :meth:`_column_scores` reads every ``B_i`` in one scan of
+    :class:`~repro.network.link.LinkStateArrays` columns: the network's
+    live ones, or the copy ``snapshot`` holds.  A zero-hop route (the
+    source is a member) is free to use and takes all the weight without
+    a read.
+
+    Parameters
+    ----------
+    snapshot:
+        ``None`` (the default) reproduces the paper's always-fresh
+        assumption; a :class:`repro.network.state.SnapshotBandwidthView`
+        models the periodic link-state refresh a real deployment would
+        have.
     """
 
     def __init__(
         self,
         context: SelectionContext,
-        view: Optional["BandwidthView"] = None,
+        snapshot: Optional["SnapshotBandwidthView"] = None,
     ) -> None:
         super().__init__(context)
-        from repro.network.state import LiveBandwidthView
-
+        network = context.network
         self._distances = [float(d) for d in context.routes.distances()]
-        self._routes = context.routes.routes()
-        if view is None:
-            view = LiveBandwidthView(context.network)
-        self.view = view
-        #: Whether a route has zero hops (the source is a member): such
-        #: routes are free to use and take all the weight.
+        self.snapshot = snapshot
+        self._live = network.link_state
+        #: Whether a route has zero hops: such routes take all the weight.
         self._zero_hop = 0.0 in self._distances
-        #: The live view's link-state columns (``None`` for other
-        #: views) and each route's ``(link ids, D_i)`` in them.
-        self._live: Optional["LinkStateArrays"] = None
-        self._scan: list[tuple[tuple[int, ...], float]] = []
-        if isinstance(view, LiveBandwidthView):
-            network = view.network
-            self._live = network.link_state
-            self._scan = [
-                (route.resolve_link_indices(network), distance)
-                for route, distance in zip(self._routes, self._distances)
-            ]
+        #: Each route's ``(link ids, D_i)`` in the link-state columns.
+        self._scan = [
+            (route.resolve_link_indices(network), distance)
+            for route, distance in zip(context.routes.routes(), self._distances)
+        ]
 
     def _zero_hop_weights(self) -> list[float]:
         return [1.0 if distance == 0 else 0.0 for distance in self._distances]
 
     def _column_scores(self) -> list[float]:
-        """Each member's score from one scan of the live columns.
+        """Each member's score from one scan of the columns.
 
-        Only for the live view with no zero-hop route; other views are
-        queried route by route in each selector's ``weights()``.
+        Never called with a zero-hop route, whose ``D_i`` is 0.
         """
-        live = self._live
-        assert live is not None
-        capacity = live.capacity
-        reserved = live.reserved
+        snapshot = self.snapshot
+        columns = self._live if snapshot is None else snapshot.columns()
+        capacity = columns.capacity
+        reserved = columns.reserved
         scores: list[float] = []
         for hops, distance in self._scan:
-            # Route.bottleneck_bps, inline.
             bandwidth = math.inf
             for i in hops:
                 available = capacity[i] - reserved[i]
@@ -443,56 +440,29 @@ class DistanceBandwidthWeighted(_BandwidthScoredSelector):
     """WD/D+B: weights proportional to ``B_i / D_i`` (eqs. 11-12).
 
     ``B_i`` is the bottleneck available bandwidth of the fixed route to
-    member ``i``, read from the live network state — standing in for
+    member ``i``, read from the network's link state — standing in for
     the extended-RSVP RESV feedback the paper assumes.  Weights are
-    recomputed from scratch at every selection, so this selector tracks
-    network dynamics exactly (at the compatibility cost the paper
-    highlights).
+    recomputed from scratch at every selection, so without a snapshot
+    this selector tracks network dynamics exactly (at the compatibility
+    cost the paper highlights).
 
     When every route's bottleneck is zero the flow is doomed anyway;
     the selector falls back to inverse-distance weights so the draw
     stays well defined.
 
-    Under the live view the draw table comes from one pass: one scan of
-    the link-state columns for the scores, then the normalisation and
-    running sums of :func:`cumulative_table`, without building the
-    weight vector first.  A non-live view, a zero-hop route and
-    all-zero bottlenecks take the generic table over :meth:`weights`.
-
-    Parameters
-    ----------
-    view:
-        Where ``B_i`` comes from: the default
-        :class:`repro.network.state.LiveBandwidthView` reproduces the
-        paper's always-fresh assumption; a
-        :class:`repro.network.state.SnapshotBandwidthView` models the
-        periodic link-state refresh a real deployment would have.
+    The draw table comes from one pass: one scan of the link-state
+    columns for the scores, then the normalisation and running sums of
+    :func:`cumulative_table`, without building the weight vector first.
+    A zero-hop route and all-zero bottlenecks take the generic table
+    over :meth:`weights`.
     """
 
     name = "WD/D+B"
 
-    def __init__(
-        self,
-        context: SelectionContext,
-        view: Optional["BandwidthView"] = None,
-    ) -> None:
-        super().__init__(context, view)
-        self._one_pass = self._live is not None and not self._zero_hop
-
     def weights(self) -> list[float]:
-        if self._live is None:
-            # Each query may refresh a shared snapshot, so the zero-hop
-            # route is queried too, unlike in WD/D+H+B.
-            scores: list[float] = []
-            for route, distance in zip(self._routes, self._distances):
-                bandwidth = self.view.route_available_bps(route)
-                if distance == 0:
-                    return self._zero_hop_weights()
-                scores.append(bandwidth / distance if bandwidth > 0.0 else 0.0)
-        elif self._zero_hop:
+        if self._zero_hop:
             return self._zero_hop_weights()
-        else:
-            scores = self._column_scores()
+        scores = self._column_scores()
         total = sum(scores)
         if total <= 0:
             return distance_weights(self._distances)
@@ -500,9 +470,9 @@ class DistanceBandwidthWeighted(_BandwidthScoredSelector):
 
     def _table(self, exclude: AbstractSet[NodeId]) -> Table:
         # The table cumulative_table builds over weights(), from one
-        # scan of the live columns.  sum() must stay: it rounds
-        # differently from a running total on some interpreters.
-        if not self._one_pass:
+        # scan of the columns.  sum() must stay: it rounds differently
+        # from a running total on some interpreters.
+        if self._zero_hop:
             return super()._table(exclude)
         scores = self._column_scores()
         total = sum(scores)
@@ -542,25 +512,18 @@ class HybridWeighted(_BandwidthScoredSelector):
         self,
         context: SelectionContext,
         alpha: float = DEFAULT_ALPHA,
-        view: Optional["BandwidthView"] = None,
+        snapshot: Optional["SnapshotBandwidthView"] = None,
     ) -> None:
-        super().__init__(context, view)
+        super().__init__(context, snapshot)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
         self.history = AdmissionHistory(context.group)
 
     def weights(self) -> list[float]:
-        if self._live is None:
-            scores: list[float] = []
-            for route, distance in zip(self._routes, self._distances):
-                if distance == 0:
-                    return self._zero_hop_weights()
-                scores.append(max(0.0, self.view.route_available_bps(route)) / distance)
-        elif self._zero_hop:
+        if self._zero_hop:
             return self._zero_hop_weights()
-        else:
-            scores = self._column_scores()
+        scores = self._column_scores()
         alpha = self.alpha
         scores = [
             score * alpha**failures

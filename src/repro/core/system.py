@@ -65,8 +65,9 @@ class SystemSpec:
         Ablation flag: allow re-drawing destinations that already
         failed within the same request.
     bandwidth_refresh_s:
-        Staleness ablation for WD/D+B: refresh period of the shared
-        link-state snapshot feeding ``B_i``, finite and non-negative.
+        Staleness ablation for WD/D+B and WD/D+H+B: refresh period of
+        the shared link-state snapshot feeding ``B_i``, finite and
+        non-negative.
         0 (default) is the paper's always-fresh idealization; > 0
         requires the builder to receive a simulation clock.
     """
@@ -163,7 +164,7 @@ class AdmissionSystem:
 def build_selector(
     spec: SystemSpec,
     context: SelectionContext,
-    bandwidth_view: Optional["SnapshotBandwidthView"] = None,
+    snapshot: Optional["SnapshotBandwidthView"] = None,
 ) -> "DestinationSelector":
     """The destination selector for one AC-router under ``spec``.
 
@@ -177,9 +178,9 @@ def build_selector(
     if spec.algorithm == "WD/D+H":
         return DistanceHistoryWeighted(context, alpha=spec.alpha)
     if spec.algorithm == "WD/D+H+B":
-        return HybridWeighted(context, alpha=spec.alpha, view=bandwidth_view)
+        return HybridWeighted(context, alpha=spec.alpha, snapshot=snapshot)
     if spec.algorithm == "WD/D+B":
-        return DistanceBandwidthWeighted(context, view=bandwidth_view)
+        return DistanceBandwidthWeighted(context, snapshot=snapshot)
     if spec.algorithm == "SP":
         return ShortestPathSelector(context)
     raise ValueError(f"no per-source selector for algorithm {spec.algorithm!r}")
@@ -227,7 +228,7 @@ def build_system(
         controller = GDIController(network, group)
         return AdmissionSystem(spec, network, group, {}, global_controller=controller)
 
-    bandwidth_view: Optional["SnapshotBandwidthView"] = None
+    snapshot: Optional["SnapshotBandwidthView"] = None
     if spec.algorithm in ("WD/D+B", "WD/D+H+B") and spec.bandwidth_refresh_s > 0:
         if clock is None:
             raise ValueError(
@@ -238,9 +239,7 @@ def build_system(
 
         # One shared snapshot per system: a flooded link-state
         # advertisement reaches every AC-router at once.
-        bandwidth_view = SnapshotBandwidthView(
-            network, clock, spec.bandwidth_refresh_s
-        )
+        snapshot = SnapshotBandwidthView(network, clock, spec.bandwidth_refresh_s)
 
     if reservation is None:
         reservation = AtomicReservationEngine(network)
@@ -252,7 +251,7 @@ def build_system(
             network,
             source,
             group,
-            build_selector(spec, context, bandwidth_view),
+            build_selector(spec, context, snapshot),
             CounterRetrialPolicy(spec.effective_retrials),
             streams.stream(f"select.{source}"),
         )

@@ -529,7 +529,7 @@ def _check_r6(tree: ast.Module, path: str, sink: list[Violation]) -> None:
                     "R6",
                     f"direct LinkStateArrays column access (.{node.attr}); "
                     "the signaling plane reads bandwidth only through the "
-                    "Link / BandwidthView API",
+                    "Link API",
                 )
             )
 

@@ -9,10 +9,10 @@ not hold".  This module implements that extension:
   ledgers and sets their slots in the shared
   :class:`~repro.network.link.LinkStateArrays` capacity column to
   :data:`DOWN_CAPACITY_BPS`; repairing it writes the saved nominal
-  capacities back.  Every admission check, bandwidth view and WD/D+B
-  column scan already reads ``capacity - reserved``, so each of them
-  refuses a down hop, or scores it as having no bandwidth, with no
-  fault check of its own.
+  capacities back.  Every admission check and the WD/D+B column scan
+  (of the live columns or a snapshot copy) already reads
+  ``capacity - reserved``, so each of them refuses a down hop, or
+  scores it as having no bandwidth, with no fault check of its own.
 * Flows that were traversing a failed link are killed (their
   reservations released everywhere) — the behaviour of a hard RSVP
   state timeout.

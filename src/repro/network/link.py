@@ -76,9 +76,12 @@ class LinkStateArrays:
         self.reserved.append(0.0)
         return index
 
-    def available(self, index: int) -> float:
-        """Available bandwidth of the link with id ``index``."""
-        return self.capacity[index] - self.reserved[index]
+    def copy(self) -> "LinkStateArrays":
+        """An independent copy of both columns (a link-state snapshot)."""
+        columns = LinkStateArrays()
+        columns.capacity = self.capacity[:]
+        columns.reserved = self.reserved[:]
+        return columns
 
 
 class Link:

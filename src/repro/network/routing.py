@@ -63,8 +63,7 @@ def shortest_path(
             if neighbor in parents:
                 continue
             if min_available_bps is not None:
-                link = network.link(node, neighbor)
-                if link.available_bps + 1e-9 < min_available_bps:
+                if not network.link(node, neighbor).can_admit(min_available_bps):
                     continue
             parents[neighbor] = node
             if neighbor == target:
@@ -101,10 +100,10 @@ class Route:
     """A fixed route from a source to one anycast-group member.
 
     Routes are static once built (the paper's fixed-path assumption),
-    so the directed :class:`~repro.network.link.Link` objects and the
-    ``(u, v)`` key pairs of the path are resolved once and cached —
-    the reservation and bandwidth-view hot paths would otherwise
-    repeat the per-hop dict lookups on every admission attempt.
+    so the directed :class:`~repro.network.link.Link` objects and their
+    link ids are resolved once and cached — the reservation path and
+    the WD/D+B column scan would otherwise repeat the per-hop dict
+    lookups on every admission attempt.
 
     Attributes
     ----------
@@ -123,9 +122,6 @@ class Route:
         default=None, compare=False, repr=False
     )
     _links_network: Optional[Network] = field(
-        default=None, compare=False, repr=False
-    )
-    _link_keys: Optional[tuple[tuple[NodeId, NodeId], ...]] = field(
         default=None, compare=False, repr=False
     )
     _link_indices: Optional[tuple[int, ...]] = field(
@@ -171,33 +167,6 @@ class Route:
         assert indices is not None  # resolve_links always fills the cache
         return indices
 
-    def link_keys(self) -> tuple[tuple[NodeId, NodeId], ...]:
-        """Directed ``(u, v)`` pairs of the path, cached."""
-        keys = self._link_keys
-        if keys is None:
-            keys = tuple(zip(self.path, self.path[1:]))
-            object.__setattr__(self, "_link_keys", keys)
-        return keys
-
-    def bottleneck_bps(self, network: Network) -> float:
-        """Route bandwidth ``B_i = min over links of AB_l`` (eq. 11).
-
-        Reads the network's flat state arrays directly: one subtract
-        and compare per hop, no per-link attribute walks.
-        """
-        indices = self.resolve_link_indices(network)
-        if not indices:
-            return float("inf")
-        state = network.link_state
-        capacity = state.capacity
-        reserved = state.reserved
-        best = float("inf")
-        for i in indices:
-            available = capacity[i] - reserved[i]
-            if available < best:
-                best = available
-        return best
-
     def __str__(self) -> str:
         return "->".join(str(node) for node in self.path)
 
@@ -228,7 +197,6 @@ class RouteTable:
             # Warm the per-route link cache against the owning network
             # so the admission hot path never resolves hops again.
             route.resolve_links(network)
-            route.link_keys()
             self._routes[member] = route
             ordered.append(member)
         self.members: tuple[NodeId, ...] = tuple(ordered)

@@ -152,21 +152,6 @@ class Network:
             return []
         return [self.link(u, v) for u, v in zip(path, path[1:])]
 
-    def path_available_bps(self, path: Sequence[NodeId]) -> float:
-        """Bottleneck available bandwidth of ``path`` (eq. 11).
-
-        Returns ``inf`` for an empty/degenerate path, mirroring a flow
-        whose source and destination coincide and thus needs no links.
-        """
-        links = self.path_links(path)
-        if not links:
-            return float("inf")
-        return min(link.available_bps for link in links)
-
-    def path_admits(self, path: Sequence[NodeId], bandwidth_bps: float) -> bool:
-        """Whether every link on ``path`` can carry ``bandwidth_bps`` more."""
-        return all(link.can_admit(bandwidth_bps) for link in self.path_links(path))
-
     def reserve_path(
         self, path: Sequence[NodeId], flow_id: FlowId, bandwidth_bps: float
     ) -> bool:
@@ -254,10 +239,6 @@ class Network:
         # The reserved column is ordered by link id = insertion order,
         # so this sums in the same order as walking the link dict.
         return sum(self.link_state.reserved)
-
-    def snapshot_available(self) -> dict[tuple[NodeId, NodeId], float]:
-        """Map of directed link -> available bandwidth, for analysis."""
-        return {key: link.available_bps for key, link in self._links.items()}
 
     # ------------------------------------------------------------------
     # interop

@@ -489,8 +489,9 @@ class SignalledReservationEngine:
         per-attempt key so a timed-out attempt's orphans never collide
         with a later attempt.
         """
-        self.attempts += 1
-        _Session(self, route, flow_id, bandwidth_bps, on_complete).start()
+        session = _Session(self, route, flow_id, bandwidth_bps, on_complete)
+        self.attempts += 1  # counted once the session validated its request
+        session.start()
 
     def release(self, route: Route, flow_id: FlowId) -> None:
         """Tear down the reservation along ``route``; TEAR messages are charged.

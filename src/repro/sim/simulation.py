@@ -218,8 +218,8 @@ class AnycastSimulation:
         of the paper's scope.
     chaos:
         Run on the signalled plane over a channel impaired as
-        configured.  Needs a distributed system with an always-fresh
-        bandwidth view (``bandwidth_refresh_s`` 0); :meth:`run` then
+        configured.  Needs a distributed system with always-fresh
+        bandwidth (``bandwidth_refresh_s`` 0); :meth:`run` then
         drains the calendar and returns a :class:`ChaosResult`.
     """
 

@@ -9,7 +9,7 @@ from repro.core.selection import (
 )
 from repro.flows.group import AnycastGroup
 from repro.network.routing import RouteTable
-from repro.network.state import LiveBandwidthView, SnapshotBandwidthView
+from repro.network.state import SnapshotBandwidthView
 from repro.network.topologies import MCI_GROUP_MEMBERS, line, mci_backbone
 
 
@@ -85,13 +85,18 @@ class TestWeights:
             if snapshot
             else None
         )
-        hybrid = HybridWeighted(context, alpha=0.5, view=view)
+        hybrid = HybridWeighted(context, alpha=0.5, snapshot=view)
         for member, success in [(8, False), (8, False), (12, False), (0, True)]:
             hybrid.observe(member, success)
-        live = LiveBandwidthView(network)
+        bottlenecks = [
+            min(link.available_bps for link in route.resolve_links(network))
+            for route in routes.routes()
+        ]
         scores = [
-            (max(0.0, live.route_available_bps(route)) / route.distance) * 0.5**h
-            for route, h in zip(routes.routes(), hybrid.history.counters())
+            (max(0.0, bottleneck) / route.distance) * 0.5**h
+            for bottleneck, route, h in zip(
+                bottlenecks, routes.routes(), hybrid.history.counters()
+            )
         ]
         assert 0.0 in scores and len(set(scores)) == len(scores)
         total = sum(scores)

@@ -78,3 +78,13 @@ class TestCounters:
         engine.try_reserve(ROUTE, "f1", 100.0)
         engine.try_reserve(ROUTE, "f2", 100.0)  # fails
         assert (engine.attempts, engine.failures) == (2, 1)
+
+    def test_refused_requests_are_not_attempts(self, network, engine):
+        # A request refused with ValueError never ran: only the one
+        # reservation that did is counted.
+        assert engine.try_reserve(ROUTE, "f1", 40.0)
+        for key, bandwidth in (("f2", -1.0), ("f2", math.nan), ("f1", 40.0)):
+            with pytest.raises(ValueError):
+                engine.try_reserve(ROUTE, key, bandwidth)
+        assert (engine.attempts, engine.failures) == (1, 0)
+        assert network.total_reserved_bps() == 3 * 40.0

@@ -11,6 +11,11 @@ be treated as a breaking change, not a test update.
 import pytest
 
 import repro
+from repro.core.system import SystemSpec
+from repro.flows.group import AnycastGroup
+from repro.flows.traffic import WorkloadSpec
+from repro.network.topologies import MCI_GROUP_MEMBERS, MCI_SOURCES, mci_backbone
+from repro.sim.simulation import AnycastSimulation, FaultConfig
 
 #: (requests, admitted, mean_attempts) for seed 20010405, lambda=25,
 #: warmup 50 s, measure 200 s on the default MCI setup with R=2.
@@ -21,6 +26,43 @@ GOLDEN = {
     "SP": (5165, 3774, 1.0),
     "GDI": (5165, 5165, 1.0),
 }
+
+#: The same runs for the bandwidth selectors on a stale link-state
+#: snapshot and under random cable faults, which ``quick_run`` cannot
+#: configure: ``(algorithm, bandwidth_refresh_s, faults)`` ->
+#: (requests, admitted, mean_attempts).
+GOLDEN_VARIANTS = {
+    ("WD/D+B", 5.0, False): (5165, 5145, 1.00619554695063),
+    ("WD/D+H+B", 0.0, False): (5165, 5157, 1.003484995159728),
+    ("WD/D+H+B", 5.0, False): (5165, 5150, 1.0054211035818033),
+    ("WD/D+B", 5.0, True): (5165, 5112, 1.0272991287512088),
+    ("WD/D+H+B", 5.0, True): (5165, 5123, 1.022652468538235),
+}
+
+
+def variant_id(variant):
+    algorithm, refresh_s, faults = variant
+    return f"{algorithm}-refresh{refresh_s:g}" + ("-faults" if faults else "")
+
+
+def run_variant(algorithm, refresh_s, faults):
+    """One golden-configuration run through :class:`AnycastSimulation`."""
+    workload = WorkloadSpec(
+        arrival_rate=25.0,
+        sources=MCI_SOURCES,
+        group=AnycastGroup("A", MCI_GROUP_MEMBERS),
+    )
+    return AnycastSimulation(
+        network_factory=mci_backbone,
+        system_spec=SystemSpec(
+            algorithm, retrials=2, bandwidth_refresh_s=refresh_s
+        ),
+        workload=workload,
+        warmup_s=50.0,
+        measure_s=200.0,
+        seed=20010405,
+        fault_config=FaultConfig(200.0, 20.0) if faults else None,
+    ).run()
 
 
 # The engine has one pending-event set, the heap; the parameter only
@@ -37,6 +79,15 @@ def test_golden_results_are_stable(algorithm, queue):
         seed=20010405,
     )
     requests, admitted, mean_attempts = GOLDEN[algorithm]
+    assert result.requests == requests
+    assert result.admitted == admitted
+    assert result.mean_attempts == pytest.approx(mean_attempts, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS), ids=variant_id)
+def test_golden_variants_are_stable(variant):
+    result = run_variant(*variant)
+    requests, admitted, mean_attempts = GOLDEN_VARIANTS[variant]
     assert result.requests == requests
     assert result.admitted == admitted
     assert result.mean_attempts == pytest.approx(mean_attempts, abs=1e-12)

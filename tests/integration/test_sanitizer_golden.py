@@ -16,7 +16,12 @@ from repro.core.system import SystemSpec
 from repro.experiments.config import quick_config
 from repro.experiments.runner import sweep
 
-from tests.integration.test_determinism_golden import GOLDEN
+from tests.integration.test_determinism_golden import (
+    GOLDEN,
+    GOLDEN_VARIANTS,
+    run_variant,
+    variant_id,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -45,6 +50,15 @@ def test_golden_results_survive_sanitizer(algorithm, queue, sanitizer_everywhere
         seed=20010405,
     )
     requests, admitted, mean_attempts = GOLDEN[algorithm]
+    assert result.requests == requests
+    assert result.admitted == admitted
+    assert result.mean_attempts == pytest.approx(mean_attempts, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS), ids=variant_id)
+def test_golden_variants_survive_sanitizer(variant, sanitizer_everywhere):
+    result = run_variant(*variant)
+    requests, admitted, mean_attempts = GOLDEN_VARIANTS[variant]
     assert result.requests == requests
     assert result.admitted == admitted
     assert result.mean_attempts == pytest.approx(mean_attempts, abs=1e-12)

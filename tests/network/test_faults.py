@@ -67,8 +67,12 @@ class TestFaultState:
         for u, v in ((2, 3), (3, 2)):
             assert network.link(u, v).capacity_bps == DOWN_CAPACITY_BPS
         assert network.link(1, 2).capacity_bps == 10 * 64_000.0
-        assert network.path_available_bps((0, 1, 2)) > 0.0
-        assert network.path_available_bps((0, 1, 2, 3)) < 0.0
+
+        def bottleneck(path):
+            return min(link.available_bps for link in network.path_links(path))
+
+        assert bottleneck((0, 1, 2)) > 0.0
+        assert bottleneck((0, 1, 2, 3)) < 0.0
 
     def test_repair_restores_the_exact_nominal_capacity(self):
         network = line(3, capacity_bps=1e6 / 3)
@@ -135,7 +139,7 @@ class TestBandwidthSelectorsSeeFaults:
 
     While a member's route is up, a member whose route crosses a failed
     cable is never drawn: up routes here never fill, so every request
-    is admitted at its first draw.  Both the live view and a snapshot
+    is admitted at its first draw.  Both the live columns and a snapshot
     taken after the failure see the fault.
     """
 

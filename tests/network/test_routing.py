@@ -97,10 +97,14 @@ class TestRoute:
         assert route.distance == 0
 
     def test_bottleneck(self):
+        # The route's link ids index its links' slots in the columns.
         net = build_diamond()
         net.link(1, 3).reserve("f", 75.0)
         route = Route(source=0, destination=3, path=(0, 1, 3))
-        assert route.bottleneck_bps(net) == pytest.approx(25.0)
+        indices = route.resolve_link_indices(net)
+        assert indices == (net.link(0, 1).index, net.link(1, 3).index)
+        state = net.link_state
+        assert min(state.capacity[i] - state.reserved[i] for i in indices) == 25.0
 
     def test_str(self):
         route = Route(source=0, destination=3, path=(0, 1, 3))

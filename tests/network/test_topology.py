@@ -111,21 +111,6 @@ class TestPathOperations:
         assert net.path_links([0]) == []
         assert net.path_links([]) == []
 
-    def test_path_available_is_bottleneck(self):
-        net = build_triangle()
-        net.link(0, 1).reserve("f", 70.0)
-        assert net.path_available_bps([0, 1, 2]) == pytest.approx(30.0)
-
-    def test_degenerate_path_available_is_infinite(self):
-        net = build_triangle()
-        assert net.path_available_bps([0]) == float("inf")
-
-    def test_path_admits(self):
-        net = build_triangle()
-        net.link(0, 1).reserve("f", 70.0)
-        assert net.path_admits([0, 1, 2], 30.0)
-        assert not net.path_admits([0, 1, 2], 31.0)
-
     def test_reserve_path_all_or_nothing(self):
         net = build_triangle()
         net.link(1, 2).reserve("blocker", 100.0)
@@ -156,13 +141,6 @@ class TestPathOperations:
         net = build_triangle()
         assert net.reserve_path([0], "f", 40.0)
         assert net.total_reserved_bps() == 0.0
-
-    def test_snapshot_available(self):
-        net = build_triangle()
-        net.link(0, 1).reserve("f", 25.0)
-        snapshot = net.snapshot_available()
-        assert snapshot[(0, 1)] == 75.0
-        assert snapshot[(1, 0)] == 100.0
 
 
 class TestNetworkXExport:

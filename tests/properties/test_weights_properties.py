@@ -320,8 +320,10 @@ class TestOnePassDrawMatchesWeightedChoice:
             links = route.resolve_links(network)
             load = n * 0.2 * links[0].capacity_bps
             assert network.reserve_links(links, f"load{n}", load)
-        view = SnapshotBandwidthView(network, clock=lambda: 0.0, refresh_period_s=10.0)
-        selector = DistanceBandwidthWeighted(context, view=view)
+        snapshot = SnapshotBandwidthView(
+            network, clock=lambda: 0.0, refresh_period_s=10.0
+        )
+        selector = DistanceBandwidthWeighted(context, snapshot=snapshot)
         before = selector.weights()
         # The live network moves on; the snapshot (and every draw) does not.
         links = routes[0].resolve_links(network)
@@ -334,7 +336,7 @@ class TestOnePassDrawMatchesWeightedChoice:
             assert selector.select(draw_rng, exclude=refused) == renormalized_choice(
                 chain_rng, members, before, refused
             )
-        assert view.refreshes == 1
+        assert snapshot.refreshes == 1
         assert draw_rng.uniform() == chain_rng.uniform()
 
     def test_zero_hop_route_takes_every_draw(self):

@@ -151,6 +151,13 @@ class TestSignalledEngine:
         assert engine.total_messages == before + 3
         assert network.total_reserved_bps() == 0.0
 
+    def test_refused_request_is_not_an_attempt(self, simulator, network):
+        engine = SignalledReservationEngine(simulator, network)
+        with pytest.raises(ValueError):
+            engine.reserve(ROUTE, "h", -1.0, lambda o: None)
+        assert (engine.attempts, engine.failures) == (0, 0)
+        assert engine.mean_messages == 0.0
+
     def test_fresh_engine_means_zero(self, simulator, network):
         engine = SignalledReservationEngine(simulator, network)
         assert engine.mean_latency_s == 0.0
