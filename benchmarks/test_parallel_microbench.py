@@ -21,7 +21,6 @@ import time
 from conftest import HEAVY_RATE, bench_config
 
 from repro.core.system import SystemSpec
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import run_point
 
 WORKERS = 4
@@ -42,9 +41,7 @@ def test_parallel_point_bit_identical_and_faster(benchmark):
         return run_point(spec, HEAVY_RATE, config)
 
     def parallel():
-        return ParallelRunner(workers=WORKERS).run_point(
-            spec, HEAVY_RATE, config
-        )
+        return run_point(spec, HEAVY_RATE, config.scaled(workers=WORKERS))
 
     started = time.perf_counter()
     serial_point = serial()

@@ -24,7 +24,7 @@ from typing import Hashable, Optional
 
 from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
-from repro.network.routing import feasible_path
+from repro.network.routing import Route, feasible_path
 from repro.network.topology import Network
 
 NodeId = Hashable
@@ -49,7 +49,8 @@ class GDIController:
         """Admit iff any member is reachable over links with room.
 
         Members are scanned in group order; the overall minimum-hop
-        feasible path across members is reserved.  The search is one
+        feasible path across members becomes the record's ``route``
+        and is reserved under its ``flow_id``.  The search is one
         attempt; a refused record lists every member as tried.
         """
         if request.group != self.group:
@@ -72,14 +73,17 @@ class GDIController:
         if best_path is None:
             request.tried = list(self.group.members)
             return request
-        reserved = self.network.reserve_path(
-            best_path, request.flow_id, request.bandwidth_bps
+        destination = best_path[-1]
+        route = Route(request.source, destination, tuple(best_path))
+        reserved = self.network.reserve_links(
+            route.resolve_links(self.network), request.flow_id, request.bandwidth_bps
         )
         if not reserved:  # pragma: no cover - feasible_path guarantees room
             raise RuntimeError("feasible path refused reservation")
-        request.destination = best_path[-1]
-        request.tried = [request.destination]
-        request.path = tuple(best_path)
+        request.destination = destination
+        request.tried = [destination]
+        request.route = route
+        request.reservation_key = request.flow_id
         return request
 
     def release(self, flow: FlowRequest) -> None:
@@ -87,9 +91,12 @@ class GDIController:
 
         A refused record holds none, so releasing it does nothing.
         """
-        if flow.released or flow.path is None:
+        route = flow.route
+        if flow.released or route is None:
             return
-        self.network.release_path(flow.path, flow.flow_id)
+        self.network.release_path(
+            route.resolve_links(self.network), flow.reservation_key
+        )
         flow.released = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

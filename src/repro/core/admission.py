@@ -14,10 +14,13 @@ history) — state is strictly local, which is the point of the
 
 The loop runs on the request's own record,
 :class:`repro.flows.flow.FlowRequest`: each draw appends to its
-``tried`` list, each refusal grows its ``excluded`` set, and the
-decision is written into it (``destination``, ``path``, ``attempts``,
-``decided_at``) while the set is dropped.  :meth:`ACRouter.admit`
-returns that same record, and :meth:`ACRouter.release` takes it.
+``tried`` list and writes the drawn ``route``, each refusal grows its
+``excluded`` set, and the decision is written into it
+(``destination``, ``attempts``, ``decided_at``) while the set is
+dropped; a refusal also clears ``route`` and ``reservation_key``.  An
+admitted record's ``route`` and ``reservation_key`` name exactly the
+links it holds, on both planes, and :meth:`ACRouter.release` tears
+down by them.  :meth:`ACRouter.admit` returns that same record.
 
 The loop body is written once, here; the signalled router in
 :mod:`repro.signaling.admission` drives the same body from
@@ -26,7 +29,7 @@ reservation callbacks instead of a ``while`` loop.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Protocol, Sequence
+from typing import Hashable, Optional, Protocol
 
 from repro.core.reservation import AtomicReservationEngine
 from repro.core.retrial import RetrialPolicy
@@ -44,20 +47,22 @@ FlowId = Hashable
 class ReservationEngine(Protocol):
     """What the AC-router needs from a reservation engine.
 
+    A reservation is addressed by a route and a key, both ways.
     Satisfied by :class:`AtomicReservationEngine`, with or without link
     faults: a down link reads no capacity, so the engine refuses it as
-    it refuses a full one.  The router reserves under a record's
-    ``flow_id`` and releases an admitted record's ``path``.
+    it refuses a full one.  :meth:`ACRouter.release` calls
+    :meth:`release` with an admitted record's ``route`` and
+    ``reservation_key``, which the signalled engine
+    (:class:`repro.signaling.rsvp.SignalledReservationEngine`) takes
+    too.
     """
 
-    def try_reserve(
-        self, route: "Route", flow_id: FlowId, bandwidth_bps: float
-    ) -> bool:
-        """Reserve along ``route``; ``True`` on success."""
+    def try_reserve(self, route: Route, key: FlowId, bandwidth_bps: float) -> bool:
+        """Reserve along ``route`` under ``key``; ``True`` on success."""
         ...
 
-    def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
-        """Tear down the flow's reservations along ``path``."""
+    def release(self, route: Route, key: FlowId) -> None:
+        """Tear down the reservation held under ``key`` along ``route``."""
         ...
 
 
@@ -131,16 +136,17 @@ class ACRouter:
         """Run the DAC procedure for ``request`` and return the decided record.
 
         On admission the flow's bandwidth is held on every link of its
-        route until :meth:`release` is called.
+        route, under its ``flow_id``, until :meth:`release` is called.
         """
         self._open(request)
         decided_at = request.arrival_time if now is None else now
+        key = request.reservation_key = request.flow_id
         while True:
             route = self._select(request)
             success = self.reservation.try_reserve(
-                route, request.flow_id, request.bandwidth_bps
+                route, key, request.bandwidth_bps
             )
-            if self._conclude(request, route, success, decided_at):
+            if self._conclude(request, success, decided_at):
                 return request
 
     # ------------------------------------------------------------------
@@ -164,24 +170,26 @@ class ACRouter:
         request.excluded = set()
 
     def _select(self, request: FlowRequest) -> Route:
-        """Draw the next destination and return the route to reserve."""
+        """Draw the next destination; record and return the route to reserve."""
         excluded = request.excluded
         assert excluded is not None  # set by _open, dropped on conclusion
         destination = self.selector.select(self.rng, exclude=excluded)
         request.tried.append(destination)
-        return self.routes.route_to(destination)
+        route = request.route = self.routes.route_to(destination)
+        return route
 
-    def _conclude(
-        self, request: FlowRequest, route: Route, success: bool, decided_at: float
-    ) -> bool:
-        """Feed back the last attempt; ``True`` once the request is decided."""
+    def _conclude(self, request: FlowRequest, success: bool, decided_at: float) -> bool:
+        """Feed back the last attempt; ``True`` once the request is decided.
+
+        A refused record holds nothing, so its ``route`` and
+        ``reservation_key`` are cleared.
+        """
         tried = request.tried
         destination = tried[-1]
         self.selector.observe(destination, success)
         attempts = len(tried)
         if success:
             request.destination = destination
-            request.path = route.path
         else:
             excluded = request.excluded
             assert excluded is not None  # set by _open, dropped on conclusion
@@ -196,6 +204,7 @@ class ACRouter:
                 group_size=self.group.size,
             ):
                 return False
+            request.route = request.reservation_key = None
         request.attempts = attempts
         request.decided_at = decided_at
         request.excluded = None
@@ -204,11 +213,15 @@ class ACRouter:
     def release(self, flow: FlowRequest) -> None:
         """Tear down an admitted flow's reservations (idempotent).
 
-        A refused record holds none, so releasing it does nothing.
+        The engine releases the record's ``route`` under its
+        ``reservation_key``: on the signalled plane that is a TEAR
+        sweep.  A refused record holds none, so releasing it does
+        nothing.
         """
-        if flow.released or flow.path is None:
+        route = flow.route
+        if flow.released or route is None:
             return
-        self.reservation.release(flow.path, flow.flow_id)
+        self.reservation.release(route, flow.reservation_key)
         flow.released = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,21 +15,22 @@ identical, only latency/overhead bookkeeping differs.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from repro.network.routing import Route
 from repro.network.topology import Network
 
 FlowId = Hashable
-NodeId = Hashable
 
 
 class AtomicReservationEngine:
     """All-or-nothing bandwidth reservation on fixed routes.
 
-    Counts attempts and failures so the experiment harness can report
-    signalling overhead (each attempt corresponds to one PATH/RESV
-    round trip in a deployed system).
+    A reservation is addressed by its route's resolved links and one
+    key, both to reserve and to release, so no hop is looked up again
+    after the route table is built.  Counts attempts and failures so
+    the experiment harness can report signalling overhead (each attempt
+    corresponds to one PATH/RESV round trip in a deployed system).
     """
 
     def __init__(self, network: Network) -> None:
@@ -39,8 +40,8 @@ class AtomicReservationEngine:
         #: attempts refused for lack of bandwidth on some link
         self.failures = 0
 
-    def try_reserve(self, route: Route, flow_id: FlowId, bandwidth_bps: float) -> bool:
-        """Attempt to reserve ``bandwidth_bps`` along ``route``.
+    def try_reserve(self, route: Route, key: FlowId, bandwidth_bps: float) -> bool:
+        """Attempt to reserve ``bandwidth_bps`` along ``route`` under ``key``.
 
         Returns ``True`` and holds the bandwidth on every link on
         success; returns ``False`` and leaves the network untouched on
@@ -51,16 +52,16 @@ class AtomicReservationEngine:
         # reserve_links refuses a bad bandwidth or a held key with
         # ValueError, before this counts the attempt.
         success = self.network.reserve_links(
-            route.resolve_links(self.network), flow_id, bandwidth_bps
+            route.resolve_links(self.network), key, bandwidth_bps
         )
         self.attempts += 1
         if not success:
             self.failures += 1
         return success
 
-    def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
-        """Tear down a flow's reservation along ``path``."""
-        self.network.release_path(path, flow_id)
+    def release(self, route: Route, key: FlowId) -> None:
+        """Tear down the reservation held under ``key`` along ``route``."""
+        self.network.release_path(route.resolve_links(self.network), key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,41 +1,36 @@
-"""Parallel experiment execution over a process pool.
+"""Running replication tasks, in-process or over a process pool.
 
 Replications are embarrassingly parallel: replication ``i`` derives
 every random stream from ``config.seed + i`` and runs against its own
 fresh network, so nothing is shared between replications but the
-(immutable) configuration.  :class:`ParallelRunner` fans the
-``(system, arrival rate, replication)`` simulations of a point or a
-whole sweep out over a :mod:`multiprocessing` pool and aggregates the
-results in replication order — the exact order the serial runner uses
-— so a parallel run reproduces the serial run **bit for bit**:
+(immutable) configuration.  :func:`repro.experiments.runner.run_point`
+and :func:`~repro.experiments.runner.sweep` build the ``(system,
+arrival rate, replication)`` tasks and hand them to :func:`run_tasks`,
+which runs them in-process for one worker and over a
+:mod:`multiprocessing` pool otherwise.  Results come back in task
+order and are aggregated in the parent, so a parallel run reproduces
+the serial run **bit for bit**:
 
 * seeds are derived per task from the root seed, never from worker
   identity or scheduling order;
 * workers return complete :class:`~repro.sim.metrics.SimulationResult`
   objects; all aggregation arithmetic happens in the parent, over the
-  same sequence the serial loop would produce.
+  same sequence for any worker count.
 
-The serial path stays the default (``workers=1``); the determinism
-guarantee is asserted by ``tests/experiments/test_parallel.py`` and
-the speedup by ``benchmarks/test_parallel_microbench.py``.
+The determinism guarantee is asserted by
+``tests/experiments/test_parallel.py`` and the speedup by
+``benchmarks/test_parallel_microbench.py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.system import SystemSpec
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    PointResult,
-    SweepResult,
-    aggregate_point,
-    run_replication,
-)
 from repro.sim.metrics import SimulationResult
+from repro.sim.simulation import run_simulation
 
 
 @dataclass(frozen=True)
@@ -43,14 +38,40 @@ class ReplicationTask:
     """One independent simulation: a point's ``replication``-th run.
 
     Picklable by construction — the worker rebuilds network, system
-    and workload from the spec/config, exactly as the serial runner
-    does, and returns only the plain-data summary.
+    and workload from the spec/config and returns only the plain-data
+    summary.
     """
 
     spec: SystemSpec
     arrival_rate: float
     config: ExperimentConfig
     replication: int
+
+
+def run_replication(
+    spec: SystemSpec,
+    arrival_rate: float,
+    config: ExperimentConfig,
+    replication: int,
+) -> SimulationResult:
+    """Run the ``replication``-th independent simulation of one point.
+
+    Replication ``i`` uses seed ``config.seed + i`` for every stream,
+    so different systems at the same replication index share identical
+    arrival/lifetime/source sequences (common random numbers — the
+    same variance-reduction the paper gets by comparing systems inside
+    one simulator).  Each replication is fully self-contained (its own
+    network, system and streams), which is what lets :func:`run_tasks`
+    execute them in worker processes with identical results.
+    """
+    return run_simulation(
+        network_factory=config.network_factory(),
+        system_spec=spec,
+        workload=config.workload(arrival_rate),
+        warmup_s=config.warmup_s,
+        measure_s=config.measure_s,
+        seed=config.seed + replication,
+    )
 
 
 def run_task(task: ReplicationTask) -> SimulationResult:
@@ -60,82 +81,23 @@ def run_task(task: ReplicationTask) -> SimulationResult:
     )
 
 
-class ParallelRunner:
-    """Fans independent replications out over worker processes.
+def run_tasks(
+    tasks: Sequence[ReplicationTask], workers: int
+) -> list[SimulationResult]:
+    """Run every task on up to ``workers`` processes, results in task order.
 
-    Parameters
-    ----------
-    workers:
-        Process count; defaults to ``os.cpu_count()``.  ``1`` degrades
-        to an in-process loop (no pool is created), so callers can pass
-        the knob through unconditionally.
+    One worker or one task runs in-process (no pool is created).  Task
+    order (not completion order) is what makes the parent-side
+    aggregation bit-identical for any worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(tasks) <= 1:
+        return [run_task(task) for task in tasks]
+    # Imported here so that serial runs never load multiprocessing.
+    from multiprocessing import Pool
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    def run_tasks(self, tasks: Sequence[ReplicationTask]) -> list[SimulationResult]:
-        """Run every task, returning results in task order.
-
-        Task order (not completion order) is what makes the parent-side
-        aggregation bit-identical to the serial runner.
-        """
-        tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            return [run_task(task) for task in tasks]
-        processes = min(self.workers, len(tasks))
-        with Pool(processes=processes) as pool:
-            # imap dispatches one task at a time, the best balance for
-            # long, unevenly-sized simulations, and yields in task order.
-            return list(pool.imap(run_task, tasks))
-
-    def run_point(
-        self, spec: SystemSpec, arrival_rate: float, config: ExperimentConfig
-    ) -> PointResult:
-        """Parallel equivalent of :func:`repro.experiments.runner.run_point`."""
-        tasks = [
-            ReplicationTask(spec, arrival_rate, config, replication)
-            for replication in range(config.replications)
-        ]
-        return aggregate_point(spec, arrival_rate, config, self.run_tasks(tasks))
-
-    def sweep(
-        self,
-        specs: Sequence[SystemSpec],
-        config: ExperimentConfig,
-        arrival_rates: Optional[Sequence[float]] = None,
-    ) -> list[SweepResult]:
-        """Parallel equivalent of :func:`repro.experiments.runner.sweep`.
-
-        Every ``(system, rate, replication)`` simulation of the whole
-        grid is submitted to one pool pass, so the pool stays busy even
-        when single points have few replications.
-        """
-        rates = (
-            tuple(arrival_rates)
-            if arrival_rates is not None
-            else config.arrival_rates
-        )
-        tasks = [
-            ReplicationTask(spec, rate, config, replication)
-            for spec in specs
-            for rate in rates
-            for replication in range(config.replications)
-        ]
-        runs = self.run_tasks(tasks)
-        results: list[SweepResult] = []
-        index = 0
-        for spec in specs:
-            points: list[PointResult] = []
-            for rate in rates:
-                chunk = runs[index : index + config.replications]
-                index += config.replications
-                points.append(aggregate_point(spec, rate, config, chunk))
-            results.append(
-                SweepResult(system_label=spec.label, points=tuple(points))
-            )
-        return results
+    with Pool(processes=min(workers, len(tasks))) as pool:
+        # imap dispatches one task at a time, the best balance for
+        # long, unevenly-sized simulations, and yields in task order.
+        return list(pool.imap(run_task, tasks))

@@ -4,7 +4,9 @@
 configured number of independent replications and aggregates the
 admission probability and retrial overhead with confidence intervals.
 :func:`sweep` maps that over a lambda grid for several systems,
-producing the series behind each figure.
+producing the series behind each figure.  Both build their
+``(system, rate, replication)`` tasks here and run them through the
+one :func:`repro.experiments.parallel.run_tasks`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Optional, Sequence
 
 from repro.core.system import SystemSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import ReplicationTask, run_tasks
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulation import run_simulation
 from repro.sim.stats import confidence_interval
 
 
@@ -75,32 +77,6 @@ class SweepResult:
         raise KeyError(f"no point at arrival rate {arrival_rate}")
 
 
-def run_replication(
-    spec: SystemSpec,
-    arrival_rate: float,
-    config: ExperimentConfig,
-    replication: int,
-) -> SimulationResult:
-    """Run the ``replication``-th independent simulation of one point.
-
-    Replication ``i`` uses seed ``config.seed + i`` for every stream,
-    so different systems at the same replication index share identical
-    arrival/lifetime/source sequences (common random numbers — the
-    same variance-reduction the paper gets by comparing systems inside
-    one simulator).  Each replication is fully self-contained (its own
-    network, system and streams), which is what lets the parallel
-    runner execute them in worker processes with identical results.
-    """
-    return run_simulation(
-        network_factory=config.network_factory(),
-        system_spec=spec,
-        workload=config.workload(arrival_rate),
-        warmup_s=config.warmup_s,
-        measure_s=config.measure_s,
-        seed=config.seed + replication,
-    )
-
-
 def aggregate_point(
     spec: SystemSpec,
     arrival_rate: float,
@@ -109,9 +85,8 @@ def aggregate_point(
 ) -> PointResult:
     """Fold per-replication results into one :class:`PointResult`.
 
-    ``runs`` must be in replication order; the arithmetic is shared by
-    the serial and parallel runners so both produce bit-identical
-    aggregates.
+    ``runs`` must be in replication order; every worker count
+    aggregates here, so all produce bit-identical aggregates.
     """
     runs = list(runs)
     aps = [run.admission_probability for run in runs]
@@ -136,6 +111,39 @@ def aggregate_point(
     )
 
 
+def _run_grid(
+    specs: Sequence[SystemSpec],
+    arrival_rates: Sequence[float],
+    config: ExperimentConfig,
+) -> list[tuple[PointResult, ...]]:
+    """Every spec's points over ``arrival_rates``, in input order.
+
+    Every ``(system, rate, replication)`` simulation of the grid is one
+    task of a single :func:`~repro.experiments.parallel.run_tasks`
+    pass on ``config.workers`` processes, so the pool stays busy even
+    when single points have few replications; the runs are aggregated
+    in task order, bit-identical for any worker count.
+    """
+    replications = config.replications
+    tasks = [
+        ReplicationTask(spec, rate, config, replication)
+        for spec in specs
+        for rate in arrival_rates
+        for replication in range(replications)
+    ]
+    runs = run_tasks(tasks, config.workers)
+    grid = []
+    index = 0
+    for spec in specs:
+        points = []
+        for rate in arrival_rates:
+            chunk = runs[index : index + replications]
+            index += replications
+            points.append(aggregate_point(spec, rate, config, chunk))
+        grid.append(tuple(points))
+    return grid
+
+
 def run_point(
     spec: SystemSpec, arrival_rate: float, config: ExperimentConfig
 ) -> PointResult:
@@ -145,17 +153,7 @@ def run_point(
     pool; results are bit-identical for any worker count — see
     :mod:`repro.experiments.parallel`.
     """
-    if config.workers > 1 and config.replications > 1:
-        from repro.experiments.parallel import ParallelRunner
-
-        return ParallelRunner(workers=config.workers).run_point(
-            spec, arrival_rate, config
-        )
-    runs = [
-        run_replication(spec, arrival_rate, config, replication)
-        for replication in range(config.replications)
-    ]
-    return aggregate_point(spec, arrival_rate, config, runs)
+    return _run_grid((spec,), (arrival_rate,), config)[0][0]
 
 
 def sweep(
@@ -171,13 +169,8 @@ def sweep(
     pool; the series are bit-identical to a serial sweep.
     """
     rates = tuple(arrival_rates) if arrival_rates is not None else config.arrival_rates
-    if config.workers > 1:
-        from repro.experiments.parallel import ParallelRunner
-
-        return ParallelRunner(workers=config.workers).sweep(specs, config, rates)
-    # config.workers == 1 here, so run_point stays in-process.
-    results = []
-    for spec in specs:
-        points = tuple(run_point(spec, rate, config) for rate in rates)
-        results.append(SweepResult(system_label=spec.label, points=points))
-    return results
+    grid = _run_grid(specs, rates, config)
+    return [
+        SweepResult(system_label=spec.label, points=points)
+        for spec, points in zip(specs, grid)
+    ]

@@ -6,9 +6,12 @@ QoS".  The same slotted record then carries the request through its
 whole life.  Admission control runs the Figure 1 loop on it
 (``tried``, ``excluded``) and writes the decision into it; if the
 request is admitted, the record is the flow, pinned to one
-``destination`` and one ``path`` for its whole lifetime (the paper's
+``destination`` and one ``route`` for its whole lifetime (the paper's
 sequencing requirement that every packet of a flow goes to the member
-the first packet reached) until it is ``released``.  A simulation
+the first packet reached) until it is ``released``.  Its ``route`` and
+``reservation_key`` are the one address of its reservation: admission
+reserves the route's resolved links under the key, and every release
+tears down those same links under the same key.  A simulation
 driver schedules the record's :meth:`FlowRequest.arrive` and
 :meth:`FlowRequest.depart` as its arrival and departure events, so no
 closure is built per request or per flow.
@@ -23,6 +26,7 @@ from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.routing import Route
     from repro.sim.engine import Event
 
 NodeId = Hashable
@@ -76,16 +80,19 @@ class FlowRequest:
         one attempt.
     destination:
         The member the flow is pinned to; ``None`` unless admitted.
-    path:
-        The node path the reservation was made on; ``None`` unless
-        admitted.
+    route:
+        The :class:`~repro.network.routing.Route` of the current
+        attempt, then of the admitted flow: the links its reservation
+        is held on.  Cleared with ``reservation_key`` on refusal.
     decided_at:
         Simulation time of the decision; ``None`` until decided.
     released:
         Whether the admitted flow's reservations were torn down.
     reservation_key:
-        On the signalled plane, the per-attempt key the flow's links
-        are held under while an attempt runs and after admission.
+        The key the flow's links are held under while an attempt runs
+        and after admission: ``flow_id`` on the atomic plane, the
+        per-attempt ``(flow_id, attempt)`` on the signalled plane.
+        ``None`` before the loop opens and once the request is refused.
     latency_s:
         Simulated time from submission to decision (0 when reservations
         are atomic).
@@ -108,7 +115,7 @@ class FlowRequest:
         "excluded",
         "attempts",
         "destination",
-        "path",
+        "route",
         "decided_at",
         "released",
         "reservation_key",
@@ -147,7 +154,7 @@ class FlowRequest:
         self.excluded: Optional[set[NodeId]] = None
         self.attempts = 0
         self.destination: Optional[NodeId] = None
-        self.path: Optional[tuple[NodeId, ...]] = None
+        self.route: Optional[Route] = None
         self.decided_at: Optional[float] = None
         self.released = False
         self.reservation_key: Optional[Hashable] = None

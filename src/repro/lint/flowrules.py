@@ -3,9 +3,9 @@
 ``R5`` — reservation pairing.  An abstract-interpretation pass over
 each function in ``network/``, ``signaling/`` and
 ``core/admission.py``: every ``X.reserve(...)`` /
-``X.reserve_links(...)`` / ``X.reserve_path(...)`` call site mints an
-abstract reservation token keyed by the receiver expression.  The
-token dies when the same receiver is released
+``X.reserve_links(...)`` call site mints an abstract reservation token
+keyed by the receiver expression.  The token dies when the same
+receiver is released
 (``release``/``release_path``/``release_links``/``release_if_held``),
 or when the receiver *escapes* — passed to another call (lease
 registration, list append), stored into a structure, captured by a
@@ -60,7 +60,7 @@ __all__ = ["FLOW_RULES", "check_flow_source"]
 #: The rule codes implemented by this module.
 FLOW_RULES = frozenset({"R5", "R6", "R7"})
 
-_ACQUIRE_ATTRS = frozenset({"reserve", "reserve_links", "reserve_path"})
+_ACQUIRE_ATTRS = frozenset({"reserve", "reserve_links"})
 _RELEASE_ATTRS = frozenset(
     {"release", "release_links", "release_path", "release_if_held"}
 )

@@ -16,9 +16,9 @@ Bandwidth *accounting*, however, does not live on the link objects:
 every link in a network shares one :class:`LinkStateArrays` — a
 columnar store of capacity and reserved totals indexed by a dense
 integer link id assigned at construction.  The admission hot paths
-(:meth:`repro.network.topology.Network.reserve_links`, the WD/D+B
-bottleneck scan) read and write those flat arrays directly instead of
-walking per-link attribute dicts, and vector consumers (analysis,
+(the one grant body :func:`reserve_links`, the WD/D+B bottleneck
+scan) read and write those flat arrays directly instead of walking
+per-link attribute dicts, and vector consumers (analysis,
 future thousands-node topologies) can view the whole network's state
 as two contiguous double arrays.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Iterator, Optional, Sequence
 
 from repro import invariants as _invariants
 
@@ -209,7 +209,10 @@ class Link:
         return bandwidth_bps <= self.available_bps + ADMIT_EPSILON_BPS
 
     def reserve(self, flow_id: FlowId, bandwidth_bps: float) -> None:
-        """Reserve ``bandwidth_bps`` for ``flow_id``.
+        """Reserve ``bandwidth_bps`` for ``flow_id`` on this link.
+
+        The grant is :func:`reserve_links` on this one link; a refusal
+        is raised instead of returned.
 
         Raises
         ------
@@ -220,24 +223,11 @@ class Link:
             If the flow already holds a reservation here (a flow
             traverses a link at most once) or the amount is invalid.
         """
-        if not bandwidth_bps >= 0:
-            raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-        if flow_id in self._reservations:
-            raise ValueError(
-                f"flow {flow_id!r} already reserved on link "
-                f"{self.source}->{self.target}"
-            )
-        if not self.can_admit(bandwidth_bps):
-            self.rejections += 1
+        if not reserve_links((self,), flow_id, bandwidth_bps):
             raise InsufficientBandwidthError(
                 f"link {self.source}->{self.target}: requested "
                 f"{bandwidth_bps:g} bps but only {self.available_bps:g} available"
             )
-        self._reservations[flow_id] = float(bandwidth_bps)
-        self._state.reserved[self._index] += float(bandwidth_bps)
-        self.grants += 1
-        if _invariants.enabled:
-            _invariants.check_link(self)
 
     def release(self, flow_id: FlowId) -> float:
         """Release the reservation held by ``flow_id``.
@@ -282,3 +272,59 @@ class Link:
             f"Link({self.source}->{self.target}, "
             f"{self.reserved_bps:g}/{self.capacity_bps:g} bps reserved)"
         )
+
+
+def reserve_links(
+    links: Sequence[Link], flow_id: FlowId, bandwidth_bps: float
+) -> bool:
+    """Reserve ``bandwidth_bps`` for ``flow_id`` on every one of ``links``.
+
+    The one grant body: :meth:`Link.reserve` calls it with its own
+    link, and :class:`~repro.network.topology.Network` binds it as
+    ``Network.reserve_links``.  All or nothing: a hop that lacks the
+    bandwidth counts a rejection and returns ``False`` after the legs
+    this call granted are rolled back; each grant writes the ledger
+    and the link's :class:`LinkStateArrays` slot directly.  Returns
+    ``True`` once every link holds the reservation.
+
+    Raises
+    ------
+    ValueError
+        If the amount is invalid or a link already holds ``flow_id``
+        (after the rollback).
+    """
+    if not bandwidth_bps >= 0:
+        raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
+    amount = float(bandwidth_bps)
+    granted = 0
+    for link in links:
+        ledger = link._reservations
+        if flow_id in ledger:
+            for position in range(granted):
+                # Rolling back legs this very call just granted:
+                # each definitely holds flow_id, release cannot raise.
+                links[position].release(flow_id)  # repro-lint: disable=R5
+            raise ValueError(
+                f"flow {flow_id!r} already reserved on link "
+                f"{link.source}->{link.target}"
+            )
+        state = link._state
+        index = link._index
+        reserved = state.reserved
+        if not (
+            bandwidth_bps
+            <= state.capacity[index] - reserved[index] + ADMIT_EPSILON_BPS
+        ):
+            link.rejections += 1
+            for position in range(granted):
+                # Same as above: releasing just-granted legs only.
+                links[position].release(flow_id)  # repro-lint: disable=R5
+            return False
+        ledger[flow_id] = amount
+        reserved[index] += amount
+        link.grants += 1
+        granted += 1
+    if _invariants.enabled:
+        for link in links:
+            _invariants.check_link(link)
+    return True

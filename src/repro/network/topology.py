@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterator, Optional, Sequence
 
-from repro import invariants as _invariants
-from repro.network.link import ADMIT_EPSILON_BPS, Link, LinkStateArrays
+from repro.network.link import Link, LinkStateArrays
+from repro.network.link import reserve_links as _reserve_links
 
 NodeId = Hashable
 FlowId = Hashable
@@ -147,83 +147,32 @@ class Network:
     # path-level bandwidth operations
     # ------------------------------------------------------------------
     def path_links(self, path: Sequence[NodeId]) -> list[Link]:
-        """Resolve a node path to its directed link objects."""
+        """Resolve a node path to its directed link objects.
+
+        :meth:`repro.network.routing.Route.resolve_links` caches the
+        result, so every reservation and release addresses a route's
+        links without resolving a hop again.
+        """
         if len(path) < 2:
             return []
         return [self.link(u, v) for u, v in zip(path, path[1:])]
 
-    def reserve_path(
-        self, path: Sequence[NodeId], flow_id: FlowId, bandwidth_bps: float
-    ) -> bool:
-        """Atomically reserve ``bandwidth_bps`` on every link of ``path``.
+    #: The one grant body, all or nothing on resolved links (a cached
+    #: :meth:`~repro.network.routing.Route.resolve_links`); see
+    #: :func:`repro.network.link.reserve_links`.
+    reserve_links = staticmethod(_reserve_links)
 
-        Either every link grants the reservation or none does (links
-        reserved before the failing hop are rolled back).  Returns
-        ``True`` on success.
-        """
-        return self.reserve_links(self.path_links(path), flow_id, bandwidth_bps)
+    def release_path(self, links: Sequence[Link], flow_id: FlowId) -> None:
+        """Release the flow's reservation on every one of resolved ``links``.
 
-    def reserve_links(
-        self, links: Sequence[Link], flow_id: FlowId, bandwidth_bps: float
-    ) -> bool:
-        """Atomically reserve on pre-resolved ``links`` (all-or-nothing).
-
-        The hot-path variant of :meth:`reserve_path` for callers that
-        hold the link objects already (e.g. a cached
-        :class:`~repro.network.routing.Route`).  Works directly on the
-        shared :class:`~repro.network.link.LinkStateArrays` columns —
-        one admission check and one accounting write per hop, no
-        per-link method dispatch — with semantics identical to calling
-        :meth:`Link.reserve` hop by hop: same admission epsilon, same
-        grant/rejection counters, links reserved before the failing
-        hop are rolled back.
-        """
-        if not bandwidth_bps >= 0:
-            raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-        amount = float(bandwidth_bps)
-        state = self.link_state
-        capacity = state.capacity
-        reserved = state.reserved
-        granted = 0
-        for link in links:
-            if flow_id in link._reservations:
-                for position in range(granted):
-                    # Rolling back legs this very call just granted:
-                    # each definitely holds flow_id, release cannot raise.
-                    links[position].release(flow_id)  # repro-lint: disable=R5
-                raise ValueError(
-                    f"flow {flow_id!r} already reserved on link "
-                    f"{link.source}->{link.target}"
-                )
-            index = link._index
-            if not (
-                bandwidth_bps
-                <= capacity[index] - reserved[index] + ADMIT_EPSILON_BPS
-            ):
-                link.rejections += 1
-                for position in range(granted):
-                    # Same as above: releasing just-granted legs only.
-                    links[position].release(flow_id)  # repro-lint: disable=R5
-                return False
-            link._reservations[flow_id] = amount
-            reserved[index] += amount
-            link.grants += 1
-            granted += 1
-        if _invariants.enabled:
-            for link in links:
-                _invariants.check_link(link)
-        return True
-
-    def release_path(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
-        """Release the flow's reservation on every link of ``path``.
-
-        Raises ``KeyError`` if any leg held no reservation — but only
-        after releasing every leg that did: a strict hop-by-hop sweep
-        would abort at the first missing leg (fault teardown, lease
-        GC) and strand the bandwidth reserved on the links after it.
+        ``links`` is what :meth:`reserve_links` took, so no hop is
+        resolved again.  Raises ``KeyError`` if any leg held no
+        reservation — but only after releasing every leg that did: a
+        strict hop-by-hop sweep would abort at the first missing leg
+        and strand the bandwidth reserved on the links after it.
         """
         missing: Optional[Link] = None
-        for link in self.path_links(path):
+        for link in links:
             if link.holds(flow_id):
                 link.release(flow_id)
             elif missing is None:

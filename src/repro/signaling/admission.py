@@ -24,23 +24,24 @@ never measures directly:
 
 Every attempt reserves under its own key ``(flow_id, attempt)``, so
 the orphans of a timed-out attempt can never collide with (or be torn
-down by) a later attempt of the same flow.  The record keeps the key
-its admitted flow's links are held under (``reservation_key``), which
-:meth:`SignalledACRouter.release` tears down.  With no concurrent
+down by) a later attempt of the same flow.  The record keeps the route
+and the key its admitted flow's links are held under (``route``,
+``reservation_key``), and the inherited
+:meth:`~repro.core.admission.ACRouter.release` hands both to the
+engine, which tears them down by a TEAR sweep.  With no concurrent
 signalling races the decisions equal the atomic router's (a property
 the test suite asserts).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
 from repro.core.admission import ACRouter
 from repro.core.retrial import RetrialPolicy
 from repro.core.selection import DestinationSelector
 from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
-from repro.network.routing import Route
 from repro.network.topology import Network
 from repro.signaling.rsvp import ReservationOutcome, SignalledReservationEngine
 from repro.sim.random_streams import RandomStream
@@ -91,19 +92,6 @@ class SignalledACRouter(ACRouter):
         """Start the DAC loop; ``on_decision`` gets the decided record once."""
         _SignalledDecision(self, request, on_decision).reserve_next()
 
-    def release(self, flow: FlowRequest) -> None:
-        """Tear down an admitted flow by a TEAR sweep (idempotent).
-
-        A refused record holds no reservation, so releasing it does
-        nothing.
-        """
-        if flow.released or flow.destination is None:
-            return
-        self.reservation.release(
-            self.routes.route_to(flow.destination), flow.reservation_key
-        )
-        flow.released = True
-
 
 class _SignalledDecision:
     """The engine callback of one request's Figure 1 loop.
@@ -117,7 +105,7 @@ class _SignalledDecision:
     session is done.
     """
 
-    __slots__ = ("_router", "_request", "_on_decision", "_started_at", "_route")
+    __slots__ = ("_router", "_request", "_on_decision", "_started_at")
 
     def __init__(
         self,
@@ -130,13 +118,12 @@ class _SignalledDecision:
         self._request = request
         self._on_decision = on_decision
         self._started_at = router.reservation.simulator.now
-        self._route: Optional[Route] = None
 
     def reserve_next(self) -> None:
         """Draw the next destination and launch its reservation attempt."""
         router = self._router
         request = self._request
-        route = self._route = router._select(request)
+        route = router._select(request)
         key = request.reservation_key = (request.flow_id, len(request.tried))
         router.reservation.reserve(route, key, request.bandwidth_bps, self.concluded)
 
@@ -145,12 +132,8 @@ class _SignalledDecision:
         router = self._router
         request = self._request
         now = router.reservation.simulator.now
-        route = self._route
-        assert route is not None  # set by the attempt that concluded
-        if not router._conclude(request, route, outcome.success, now):
+        if not router._conclude(request, outcome.success, now):
             self.reserve_next()
             return
-        if request.destination is None:
-            request.reservation_key = None
         request.latency_s = now - self._started_at
         self._on_decision(request)

@@ -379,9 +379,9 @@ class AnycastSimulation:
             # slower than TTL - interval) was never refreshed: its owner
             # found it gone and stopped.  A lease alive at the first
             # refresh lives on.
-            assert flow.path is not None  # admitted
+            assert flow.route is not None  # admitted
             refreshes = self._refresh_ticks(flow)[2]
-            self.refresh_messages += 2 * refreshes * (len(flow.path) - 1)
+            self.refresh_messages += 2 * refreshes * flow.route.distance
         # The fired event's callback refers back to the flow.
         flow.departure = None
         self._active.pop(flow.flow_id, None)
@@ -399,13 +399,14 @@ class AnycastSimulation:
             flow = self._active.pop(flow_id, None)
             if flow is None:
                 continue
-            assert flow.departure is not None and flow.path is not None
+            assert flow.departure is not None and flow.route is not None
             flow.departure.cancel()
             flow.departure = None
             # The failed cable already dropped its legs: release the
-            # rest by key, and mark the flow so no later release runs.
-            for link in self.network.path_links(flow.path):
-                link.release_if_held(flow_id)
+            # rest of the route by key, and mark the flow so no later
+            # release runs.
+            for link in flow.route.resolve_links(self.network):
+                link.release_if_held(flow.reservation_key)
             flow.released = True
             self.metrics.record_flow_end()
             self.flows_dropped_by_faults += 1

@@ -35,7 +35,7 @@ class TestAdmission:
         net.link(0, 1).reserve("blocker", 64_000.0)
         result = controller.admit(make_request(0, group))
         assert result.admitted
-        assert result.path == (0, 2, 3)
+        assert result.route.path == (0, 2, 3)
 
     def test_prefers_minimum_hop_member(self):
         net = line(5)
@@ -61,8 +61,8 @@ class TestAdmission:
         group = AnycastGroup("A", (3,))
         controller = GDIController(net, group)
         result = controller.admit(make_request(0, group))
-        for link in net.path_links(result.path):
-            assert link.holds(0)
+        for link in result.route.resolve_links(net):
+            assert link.holds(result.reservation_key)
 
     def test_source_in_group_is_admitted_for_free(self):
         net = line(3)
@@ -70,7 +70,7 @@ class TestAdmission:
         controller = GDIController(net, group)
         result = controller.admit(make_request(0, group))
         assert result.admitted
-        assert result.path == (0,)
+        assert result.route.path == (0,)
         assert net.total_reserved_bps() == 0.0
 
     def test_record_is_admitted_once(self):
@@ -81,7 +81,7 @@ class TestAdmission:
         controller.admit(request)
         with pytest.raises(ValueError, match="already submitted"):
             controller.admit(request)
-        assert request.path == (0, 1, 3)
+        assert request.route.path == (0, 1, 3)
         assert controller.requests_seen == 1
         assert net.total_reserved_bps() == 2 * 64_000.0
 

@@ -61,12 +61,12 @@ class TestAdmission:
         assert result.admitted
         assert result.attempts == 1
         assert result.destination in (0, 3)
-        assert result.path[0] == 1
+        assert result.route.path[0] == 1
 
     def test_reservation_held_after_admission(self, network):
         router = make_router(network)
         result = router.admit(make_request())
-        for link in network.path_links(result.path):
+        for link in result.route.resolve_links(network):
             assert link.holds(0)
 
     def test_retries_alternative_destination(self, network):
@@ -84,7 +84,8 @@ class TestAdmission:
         router = make_router(network, retrials=2)
         result = router.admit(make_request())
         assert not result.admitted
-        assert result.path is None
+        assert result.route is None
+        assert result.reservation_key is None
         assert result.attempts == 2
         assert set(result.tried) == {0, 3}
         router.release(result)  # a refused record holds nothing
@@ -153,10 +154,10 @@ class TestAdmission:
         router = make_router(network)
         request = make_request()
         router.admit(request)
-        decided = (request.destination, request.path, list(request.tried))
+        decided = (request.destination, request.route, list(request.tried))
         with pytest.raises(ValueError, match="already submitted"):
             router.admit(request)
-        assert (request.destination, request.path, request.tried) == decided
+        assert (request.destination, request.route, request.tried) == decided
         assert router.requests_seen == 1
 
     def test_decided_at_defaults_to_arrival(self, network):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.reservation import AtomicReservationEngine
 from repro.network.routing import Route
 from repro.network.topologies import line
+from repro.network.topology import Network
 
 
 @pytest.fixture
@@ -64,13 +65,28 @@ class TestTryReserve:
 class TestRelease:
     def test_release_frees_all_links(self, network, engine):
         engine.try_reserve(ROUTE, "f1", 40.0)
-        engine.release(ROUTE.path, "f1")
+        engine.release(ROUTE, "f1")
         assert network.total_reserved_bps() == 0.0
 
     def test_release_then_reserve_again(self, engine):
         engine.try_reserve(ROUTE, "f1", 100.0)
-        engine.release(ROUTE.path, "f1")
+        engine.release(ROUTE, "f1")
         assert engine.try_reserve(ROUTE, "f2", 100.0)
+
+    def test_release_resolves_no_hop(self, network, engine, monkeypatch):
+        # The route's links were resolved once, when it was reserved;
+        # the release walks those same links and looks up no hop again.
+        assert engine.try_reserve(ROUTE, "f1", 40.0)
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("release resolved a hop again")
+
+        monkeypatch.setattr(Network, "link", no_lookup)
+        monkeypatch.setattr(Network, "path_links", no_lookup)
+        engine.release(ROUTE, "f1")
+        for link in ROUTE.resolve_links(network):
+            assert not link.holds("f1")
+        assert network.total_reserved_bps() == 0.0
 
 
 class TestCounters:

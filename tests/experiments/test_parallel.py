@@ -1,18 +1,32 @@
-"""Determinism tests for the parallel runner (repro.experiments.parallel).
+"""Determinism tests for the task runner (repro.experiments.parallel).
 
 The contract under test: any ``workers`` count produces **bit-identical**
 results to the serial runner — same seeds, same aggregation order, only
 the execution substrate differs.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.core.system import SystemSpec
 from repro.experiments.config import quick_config
-from repro.experiments.parallel import ParallelRunner, ReplicationTask, run_task
-from repro.experiments.runner import run_point, run_replication, sweep
+from repro.experiments.parallel import (
+    ReplicationTask,
+    run_replication,
+    run_task,
+    run_tasks,
+)
+from repro.experiments.runner import aggregate_point, run_point, sweep
 
 SPECS = (SystemSpec("ED", retrials=2), SystemSpec("SP"))
+
+
+def _point_tasks(spec, rate, config):
+    return [
+        ReplicationTask(spec, rate, config, replication)
+        for replication in range(config.replications)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +47,8 @@ class TestBitIdenticalResults:
         assert parallel == serial_sweep
 
     def test_parallel_run_point_matches_serial(self, tiny_config, serial_sweep):
-        point = ParallelRunner(workers=2).run_point(SPECS[0], 40.0, tiny_config)
+        runs = run_tasks(_point_tasks(SPECS[0], 40.0, tiny_config), workers=2)
+        point = aggregate_point(SPECS[0], 40.0, tiny_config, runs)
         assert point == serial_sweep[0].point_at(40.0)
 
     def test_config_workers_field_drives_run_point(self, tiny_config, serial_sweep):
@@ -41,9 +56,15 @@ class TestBitIdenticalResults:
         point = run_point(SPECS[0], 15.0, config)
         assert point == serial_sweep[0].point_at(15.0)
 
-    def test_single_worker_runner_is_in_process(self, tiny_config, serial_sweep):
-        runner = ParallelRunner(workers=1)
-        point = runner.run_point(SPECS[1], 15.0, tiny_config)
+    def test_single_worker_runner_is_in_process(
+        self, tiny_config, serial_sweep, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker must not create a pool")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        runs = run_tasks(_point_tasks(SPECS[1], 15.0, tiny_config), workers=1)
+        point = aggregate_point(SPECS[1], 15.0, tiny_config, runs)
         assert point == serial_sweep[1].point_at(15.0)
 
 
@@ -61,4 +82,4 @@ class TestTaskPlumbing:
 
     def test_worker_validation(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=0)
+            run_tasks([], workers=0)

@@ -55,7 +55,8 @@ class TestFlowRequest:
         assert request.tried == []
         assert request.excluded is None
         assert request.destination is None
-        assert request.path is None
+        assert request.route is None
+        assert request.reservation_key is None
         assert request.decided_at is None
         assert request.latency_s == 0.0
 
@@ -72,7 +73,8 @@ class TestAdmittedFlow:
         assert flow.flow_id == 1
         assert flow.bandwidth_bps == 64_000.0
         assert flow.destination in (0, 2)
-        assert flow.path[-1] == flow.destination
+        assert flow.route.path[-1] == flow.destination
+        assert flow.reservation_key == flow.flow_id
         assert flow.attempts == len(flow.tried) == 1
         assert flow.decided_at == 10.0
         assert flow.excluded is None  # a live flow keeps no loop set
@@ -86,7 +88,7 @@ class TestAdmittedFlow:
             SystemSpec("ED", retrials=1), network, (0,), group, StreamFactory(0)
         )
         flow = system.admit(make_request(source=0, group=group))
-        assert flow.path == (0,)
+        assert flow.route.path == (0,)
         assert network.total_reserved_bps() == 0.0
         system.release(flow)
         assert flow.released

@@ -129,7 +129,7 @@ class TestDownLinkRefusal:
         assert engine.try_reserve(self.ROUTE, "f", 64_000.0)
         faults.fail(1, 2)  # drops the (1,2) leg of the flow
         with pytest.raises(KeyError):
-            engine.release(self.ROUTE.path, "f")
+            engine.release(self.ROUTE, "f")
         # The strict sweep still freed every leg that held the flow.
         assert network.total_reserved_bps() == 0.0
 

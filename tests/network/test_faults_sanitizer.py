@@ -39,8 +39,8 @@ def sanitizer():
 class TestFailRepairConservation:
     def test_fail_releases_both_directions_and_conserves(self, sanitizer):
         network = line(4)
-        assert network.reserve_path([0, 1, 2, 3], "f1", 100.0)
-        assert network.reserve_path([3, 2, 1, 0], "f2", 50.0)
+        assert network.reserve_links(network.path_links([0, 1, 2, 3]), "f1", 100.0)
+        assert network.reserve_links(network.path_links([3, 2, 1, 0]), "f2", 50.0)
         before = network.total_reserved_bps()
         assert before == pytest.approx(300.0 + 150.0)
 
@@ -68,7 +68,7 @@ class TestFailRepairConservation:
         assert faults.is_down(0, 1)
         faults.repair(0, 1)
         assert not faults.is_down(0, 1)
-        assert network.reserve_path([0, 1, 2], "f1", 100.0)
+        assert network.reserve_links(network.path_links([0, 1, 2]), "f1", 100.0)
         invariants.check_network(network)
         # Fail/repair transitions were both recorded for tracing.
         assert [event.failed for event in faults.events] == [True, False]

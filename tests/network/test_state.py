@@ -60,7 +60,7 @@ class TestLiveView:
         network = mci_backbone()
         selector = bandwidth_selector(network, 9, MCI_GROUP_MEMBERS)
         routes = selector.context.routes.routes()
-        network.reserve_path(routes[0].path, "f", 64_000.0)
+        network.reserve_links(routes[0].resolve_links(network), "f", 64_000.0)
         assert selector._column_scores() == [
             min(link.available_bps for link in network.path_links(route.path))
             / route.distance

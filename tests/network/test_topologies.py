@@ -85,13 +85,14 @@ class TestMciBackbone:
         table = RouteTable(net, 9, MCI_GROUP_MEMBERS)
         route = max(table.routes(), key=lambda r: r.distance)
         assert len(route.path) > 2
+        links = route.resolve_links(net)
         for flow in range(100):
-            assert net.reserve_path(route.path, flow, FLOW_BANDWIDTH_BPS)
+            assert net.reserve_links(links, flow, FLOW_BANDWIDTH_BPS)
         assert net.total_reserved_bps() == 100 * FLOW_BANDWIDTH_BPS * (
             len(route.path) - 1
         )
         for flow in range(100):
-            net.release_path(route.path, flow)
+            net.release_path(links, flow)
         assert net.total_reserved_bps() == 0.0
 
 

@@ -37,10 +37,10 @@ class TestDumbbell:
     def test_bottleneck_limits_cross_traffic(self):
         """Only the bottleneck constrains left->right flows."""
         net = dumbbell(2, bottleneck_capacity_bps=64_000.0)
-        assert net.reserve_path((10, 0, 1, 100), "f1", 64_000.0)
-        assert not net.reserve_path((11, 0, 1, 101), "f2", 64_000.0)
+        assert net.reserve_links(net.path_links((10, 0, 1, 100)), "f1", 64_000.0)
+        assert not net.reserve_links(net.path_links((11, 0, 1, 101)), "f2", 64_000.0)
         # Local traffic is unaffected.
-        assert net.reserve_path((10, 0), "f3", 64_000.0)
+        assert net.reserve_links(net.path_links((10, 0)), "f3", 64_000.0)
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):

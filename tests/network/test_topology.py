@@ -114,16 +114,16 @@ class TestPathOperations:
     def test_reserve_path_all_or_nothing(self):
         net = build_triangle()
         net.link(1, 2).reserve("blocker", 100.0)
-        assert not net.reserve_path([0, 1, 2], "f", 50.0)
+        assert not net.reserve_links(net.path_links([0, 1, 2]), "f", 50.0)
         # First hop must have been rolled back.
         assert net.link(0, 1).available_bps == 100.0
 
     def test_reserve_and_release_path(self):
         net = build_triangle()
-        assert net.reserve_path([0, 1, 2], "f", 40.0)
+        assert net.reserve_links(net.path_links([0, 1, 2]), "f", 40.0)
         assert net.link(0, 1).reservation_of("f") == 40.0
         assert net.link(1, 2).reservation_of("f") == 40.0
-        net.release_path([0, 1, 2], "f")
+        net.release_path(net.path_links([0, 1, 2]), "f")
         assert net.total_reserved_bps() == 0.0
 
     def test_release_path_releases_survivors_before_raising(self):
@@ -131,15 +131,15 @@ class TestPathOperations:
         # sweep must still free the second leg, then report the hole —
         # a strict hop-by-hop release would strand it (R5 regression).
         net = build_triangle()
-        assert net.reserve_path([0, 1, 2], "f", 40.0)
+        assert net.reserve_links(net.path_links([0, 1, 2]), "f", 40.0)
         net.link(0, 1).release("f")
         with pytest.raises(KeyError):
-            net.release_path([0, 1, 2], "f")
+            net.release_path(net.path_links([0, 1, 2]), "f")
         assert net.total_reserved_bps() == 0.0
 
     def test_reserve_degenerate_path_succeeds(self):
         net = build_triangle()
-        assert net.reserve_path([0], "f", 40.0)
+        assert net.reserve_links(net.path_links([0]), "f", 40.0)
         assert net.total_reserved_bps() == 0.0
 
 

@@ -71,12 +71,12 @@ class TestConservationInvariants:
             if result.admitted:
                 active.append(result)
                 # The admitted flow holds its bandwidth on every hop.
-                for link in network.path_links(result.path):
-                    assert link.reservation_of(result.flow_id) == 64_000.0
+                for link in result.route.resolve_links(network):
+                    assert link.reservation_of(result.reservation_key) == 64_000.0
             if release_after and active:
                 system.release(active.pop())
         # Conservation: reserved bandwidth == sum over active flows.
-        expected = sum(64_000.0 * (len(flow.path) - 1) for flow in active)
+        expected = sum(64_000.0 * flow.route.distance for flow in active)
         assert network.total_reserved_bps() == expected
         # Full cleanup drains the network.
         for flow in active:

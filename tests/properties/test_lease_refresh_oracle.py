@@ -38,7 +38,7 @@ class TimerRefreshSimulation(ChaosSimulation):
     def _refresh(self, flow, key):
         if flow.released or not self.leases.refresh(key):
             return
-        self.refresh_messages += 2 * max(0, len(flow.path) - 1)
+        self.refresh_messages += 2 * flow.route.distance
         self.simulator.schedule(
             self.chaos.refresh_interval_s, lambda: self._refresh(flow, key)
         )

@@ -73,7 +73,7 @@ class TestPathAtomicity:
             }
 
         before = ledgers()
-        success = net.reserve_path(path, "flow", bandwidth)
+        success = net.reserve_links(net.path_links(path), "flow", bandwidth)
         after = ledgers()
         if success:
             for u, v in zip(path, path[1:]):

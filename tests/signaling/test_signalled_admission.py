@@ -123,11 +123,11 @@ class TestDecisions:
         router = make_router(network, simulator)
         request = make_request()
         admit_sync(router, simulator, request)
-        decided = (request.destination, request.path, list(request.tried))
+        decided = (request.destination, request.route, list(request.tried))
         with pytest.raises(ValueError, match="already submitted"):
             router.admit(request, lambda o: None)
         simulator.run()
-        assert (request.destination, request.path, request.tried) == decided
+        assert (request.destination, request.route, request.tried) == decided
         assert router.requests_seen == 1
         assert network.total_reserved_bps() == 64_000.0
 

@@ -5,6 +5,7 @@ import pytest
 from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
+from repro.network.routing import Route
 from repro.sim.metrics import MetricsCollector
 
 GROUP = AnycastGroup("A", (0, 4))
@@ -22,7 +23,7 @@ def make_result(source, admitted, flow_id=0):
     request.decided_at = 0.0
     if admitted:
         request.destination = 0
-        request.path = (source, 0)
+        request.route = Route(source, 0, (source, 0))
     return request
 
 

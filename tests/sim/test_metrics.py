@@ -5,6 +5,7 @@ import pytest
 from repro.flows.flow import FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.flows.qos import QoSRequirement
+from repro.network.routing import Route
 from repro.sim.metrics import MetricsCollector, SimulationResult
 
 
@@ -23,7 +24,7 @@ def make_result(admitted: bool, attempts: int = 1, destination=0, flow_id=0):
     request.decided_at = 0.0
     if admitted:
         request.destination = destination
-        request.path = (1, destination)
+        request.route = Route(1, destination, (1, destination))
     return request
 
 

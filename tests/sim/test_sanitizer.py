@@ -113,12 +113,12 @@ class TestLinkChecks:
 class TestNetworkChecks:
     def test_healthy_network_passes(self):
         network = line(4)
-        assert network.reserve_path([0, 1, 2, 3], "f1", 100.0)
+        assert network.reserve_links(network.path_links([0, 1, 2, 3]), "f1", 100.0)
         invariants.check_network(network)
 
     def test_unpaired_reservation_amount_caught(self):
         network = line(4)
-        assert network.reserve_path([0, 1, 2, 3], "f1", 100.0)
+        assert network.reserve_links(network.path_links([0, 1, 2, 3]), "f1", 100.0)
         # Corrupt one hop's ledger so the flow reserves different
         # amounts on different links of its route.
         link = network.link(1, 2)
