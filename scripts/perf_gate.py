@@ -7,6 +7,12 @@ tree's median ``decisions_per_s`` on a workload falls below the parent's
 median times ``1 - bound`` (the bound from this tree's ``BENCHMARK.json``).
 A workload the parent does not declare has no baseline and is not gated.
 
+Beside the medians it prints each tree's cProfile calls per decision,
+from one untimed run of the workload at the gate's seed (every function
+and builtin call, summed over the profile's entries).  The count does
+not depend on the host's speed, so it shows a change in work that the
+timed pairs may be too noisy to show.  It is reported, never gated.
+
 Run from the repository root, with the parent commit checked out
 beside it and the parent's runtime dependencies installed (a dependency
 this tree dropped may still be imported by the parent)::
@@ -30,6 +36,20 @@ PAIRS = 3
 SEED = "11"
 SECONDS = "5"
 
+#: One untimed run under cProfile, through perfbench's own workload
+#: builder; prints calls per decision.
+PROFILE = """
+import cProfile, pstats, sys
+sys.path.insert(0, "perfbench")
+import run
+run.load_program()
+sim = run.constructor(run.WORKLOADS[sys.argv[1]], int(sys.argv[2]))()
+profile = cProfile.Profile(builtins=True)
+profile.runcall(sim.run)
+calls = sum(entry[1] for entry in pstats.Stats(profile).stats.values())
+print(calls / sum(router.requests_seen for router in run.routers(sim)))
+"""
+
 
 def measure(tree: Path, command: list[str], workload: str) -> float | None:
     """One perfbench run in ``tree``: its rate, or ``None`` if not correct."""
@@ -43,6 +63,20 @@ def measure(tree: Path, command: list[str], workload: str) -> float | None:
         sys.stderr.write(done.stdout + done.stderr)
         return None
     return float(result["metrics"][METRIC]["value"])
+
+
+def calls_per_decision(tree: Path, workload: str) -> str:
+    """Calls per decision of one profiled run in ``tree``, or ``n/a``."""
+    done = subprocess.run(
+        [sys.executable, "-c", PROFILE, workload, SEED],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        return "n/a"
+    return f"{float(done.stdout):.2f}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,9 +103,11 @@ def main(argv: list[str] | None = None) -> int:
         change, parent = (statistics.median(rates[name]) for name in trees)
         floor = parent * (1 - bound)
         verdict = "ok" if change >= floor else "REGRESSION"
+        calls = {name: calls_per_decision(trees[name], workload) for name in trees}
         print(
             f"perf_gate: {workload}: median {change:,.0f} decisions/s, parent "
-            f"{parent:,.0f}, floor {floor:,.0f} (bound {bound}): {verdict}"
+            f"{parent:,.0f}, floor {floor:,.0f} (bound {bound}): {verdict}; "
+            f"calls per decision {calls['change']}, parent {calls['parent']}"
         )
         failed |= change < floor
     return 1 if failed else 0

@@ -8,9 +8,12 @@ delegates to RSVP PATH/RESV messages.
 :class:`AtomicReservationEngine` performs both tasks in one critical
 step against the live network state, which is the semantics the
 paper's simulation model assumes (reservations are instantaneous and
-race-free).  The message-driven variant with propagation delays lives
-in :mod:`repro.signaling.rsvp`; admission *probabilities* are
-identical, only latency/overhead bookkeeping differs.
+race-free).  The step keeps the paper's PATH-then-RESV order: it
+tests every hop first (task 1) and writes the reservation only when
+every hop passed (task 2), so a refused attempt writes nothing.  The
+message-driven variant with propagation delays lives in
+:mod:`repro.signaling.rsvp`; admission *probabilities* are identical,
+only latency/overhead bookkeeping differs.
 """
 
 from __future__ import annotations

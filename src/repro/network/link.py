@@ -12,6 +12,11 @@ bandwidth so releases are exact, double-reservations are caught, and
 heterogeneous per-flow bandwidths are supported even though the
 paper's experiments use a single 64 kbit/s class.
 
+A reservation on a route tests every hop before it writes any: the
+paper's PATH probes each hop, and only then does RESV reserve.  A
+refused attempt therefore leaves every ledger and column exactly as
+it found them; there is nothing to roll back.
+
 Bandwidth *accounting*, however, does not live on the link objects:
 every link in a network shares one :class:`LinkStateArrays` — a
 columnar store of capacity and reserved totals indexed by a dense
@@ -143,7 +148,9 @@ class Link:
         self._reservations: dict[FlowId, float] = {}
         #: number of reservation attempts refused for lack of bandwidth
         self.rejections = 0
-        #: number of successful reservations
+        #: number of reservation attempts that passed this link's
+        #: admission test: one PATH probe each, also counted when a
+        #: later hop of the same attempt refuses and nothing is written
         self.grants = 0
 
     # ------------------------------------------------------------------
@@ -281,29 +288,30 @@ def reserve_links(
 
     The one grant body: :meth:`Link.reserve` calls it with its own
     link, and :class:`~repro.network.topology.Network` binds it as
-    ``Network.reserve_links``.  All or nothing: a hop that lacks the
-    bandwidth counts a rejection and returns ``False`` after the legs
-    this call granted are rolled back; each grant writes the ledger
-    and the link's :class:`LinkStateArrays` slot directly.  Returns
-    ``True`` once every link holds the reservation.
+    ``Network.reserve_links``.  All or nothing, in the paper's PATH
+    then RESV order: every hop is tested in route order first, and
+    only when every hop passed are the ledgers and the links'
+    :class:`LinkStateArrays` slots written.  A refusal therefore
+    writes nothing.  Each hop that passes the test counts a grant (one
+    PATH probe), also when a later hop refuses; the refusing hop counts
+    a rejection and ``False`` is returned.  Returns ``True`` once every
+    link holds the reservation.  ``links`` are distinct, as on any
+    route, so each test reads the state no earlier hop of this call
+    could have changed.
 
     Raises
     ------
     ValueError
-        If the amount is invalid or a link already holds ``flow_id``
-        (after the rollback).
+        If the amount is invalid or a link already holds ``flow_id``;
+        nothing is written then either.
     """
     if not bandwidth_bps >= 0:
         raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-    amount = float(bandwidth_bps)
-    granted = 0
+    if not links:
+        return True
     for link in links:
         ledger = link._reservations
         if flow_id in ledger:
-            for position in range(granted):
-                # Rolling back legs this very call just granted:
-                # each definitely holds flow_id, release cannot raise.
-                links[position].release(flow_id)  # repro-lint: disable=R5
             raise ValueError(
                 f"flow {flow_id!r} already reserved on link "
                 f"{link.source}->{link.target}"
@@ -316,14 +324,20 @@ def reserve_links(
             <= state.capacity[index] - reserved[index] + ADMIT_EPSILON_BPS
         ):
             link.rejections += 1
-            for position in range(granted):
-                # Same as above: releasing just-granted legs only.
-                links[position].release(flow_id)  # repro-lint: disable=R5
             return False
-        ledger[flow_id] = amount
-        reserved[index] += amount
         link.grants += 1
-        granted += 1
+    # Every hop passed.  The last hop is written through the names its
+    # test left bound, so a one-link call (RSVP's RESV hop) walks the
+    # links once; a longer route then writes the hops before it.
+    amount = float(bandwidth_bps)
+    ledger[flow_id] = amount
+    reserved[index] += amount
+    if links[0] is not link:
+        for earlier in links:
+            if earlier is link:
+                break
+            earlier._reservations[flow_id] = amount
+            earlier._state.reserved[earlier._index] += amount
     if _invariants.enabled:
         for link in links:
             _invariants.check_link(link)

@@ -107,6 +107,18 @@ class TestReservation:
         link.reserve("f2", 10.0)
         assert link.grants == 2
 
+    def test_refused_attempt_counts_one_probe_per_tested_hop(self):
+        # Refused at hop 3: hops 1 and 2 passed the test (one grant
+        # each, nothing written), hop 3 counts the rejection.
+        network = Network()
+        for node, capacity in enumerate((100.0, 100.0, 10.0)):
+            network.add_link(node, node + 1, capacity_bps=capacity)
+        links = network.path_links([0, 1, 2, 3])
+        assert not network.reserve_links(links, "f", 50.0)
+        assert [link.grants for link in links] == [1, 1, 0]
+        assert [link.rejections for link in links] == [0, 0, 1]
+        assert not any(link.holds("f") for link in links)
+
     def test_many_flows_sum(self):
         link = Link(0, 1, capacity_bps=640.0)
         for i in range(10):

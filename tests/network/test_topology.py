@@ -115,7 +115,7 @@ class TestPathOperations:
         net = build_triangle()
         net.link(1, 2).reserve("blocker", 100.0)
         assert not net.reserve_links(net.path_links([0, 1, 2]), "f", 50.0)
-        # First hop must have been rolled back.
+        # The refusal at the second hop wrote nothing on the first.
         assert net.link(0, 1).available_bps == 100.0
 
     def test_reserve_and_release_path(self):

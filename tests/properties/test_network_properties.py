@@ -1,6 +1,7 @@
 """Property-based tests for network invariants (hypothesis)."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network.link import InsufficientBandwidthError, Link
@@ -72,16 +73,77 @@ class TestPathAtomicity:
                 for l in net.links()
             }
 
+        links = net.path_links(path)
         before = ledgers()
-        success = net.reserve_links(net.path_links(path), "flow", bandwidth)
+        reserved_before = [link.reserved_bps for link in links]
+        success = net.reserve_links(links, "flow", bandwidth)
         after = ledgers()
         if success:
             for u, v in zip(path, path[1:]):
                 assert after[(u, v)].pop("flow") == bandwidth
             assert after == before
+            # Every hop's column took the grant, the last one included.
+            assert [link.reserved_bps for link in links] == [
+                reserved + bandwidth for reserved in reserved_before
+            ]
         else:
-            # Rollback restores the per-flow ledgers exactly.
+            # A refusal writes no ledger.
             assert after == before
+
+
+def _snapshot(net):
+    """Both link-state columns as bytes, and every ledger."""
+    columns = (net.link_state.capacity.tobytes(), net.link_state.reserved.tobytes())
+    ledgers = {
+        (link.source, link.target): {f: link.reservation_of(f) for f in link.flows()}
+        for link in net.links()
+    }
+    return columns, ledgers
+
+
+class TestRefusalWritesNothing:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        existing=st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+        excess=st.floats(min_value=1e-3, max_value=1e6),
+        refusing=st.integers(min_value=0, max_value=4),
+        duplicate=st.booleans(),
+    )
+    # 0.1 reserved on hop 1, 0.7 refused on hop 2: a grant rolled back
+    # by subtraction would leave 0.1 + 0.7 - 0.7 != 0.1 on hop 1.
+    @example(existing=[[0.1], []], excess=0.7, refusing=1, duplicate=False)
+    def test_refused_attempt_leaves_state_bit_identical(
+        self, existing, excess, refusing, duplicate
+    ):
+        hops = len(existing)
+        refusing %= hops
+        net = Network()
+        for hop, amounts in enumerate(existing):
+            # The refusing hop is full with its own reservations; every
+            # other hop has room for any attempt drawn here.
+            capacity = sum(amounts) if hop == refusing else 1e9
+            net.add_link(hop, hop + 1, capacity_bps=capacity, bidirectional=False)
+        links = net.path_links(list(range(hops + 1)))
+        for hop, amounts in enumerate(existing):
+            for n, amount in enumerate(amounts):
+                if links[hop].can_admit(amount):
+                    links[hop].reserve(f"pre{hop}-{n}", amount)
+        if duplicate:
+            links[refusing].reserve("flow", 0.0)
+            bandwidth = excess
+        else:
+            bandwidth = links[refusing].available_bps + excess
+        before = _snapshot(net)
+        if duplicate:
+            with pytest.raises(ValueError):
+                net.reserve_links(links, "flow", bandwidth)
+        else:
+            assert not net.reserve_links(links, "flow", bandwidth)
+        assert _snapshot(net) == before
 
 
 class TestRoutingProperties:
