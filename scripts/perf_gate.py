@@ -7,11 +7,12 @@ tree's median ``decisions_per_s`` on a workload falls below the parent's
 median times ``1 - bound`` (the bound from this tree's ``BENCHMARK.json``).
 A workload the parent does not declare has no baseline and is not gated.
 
-Beside the medians it prints each tree's cProfile calls per decision,
-from one untimed run of the workload at the gate's seed (every function
-and builtin call, summed over the profile's entries).  The count does
-not depend on the host's speed, so it shows a change in work that the
-timed pairs may be too noisy to show.  It is reported, never gated.
+Beside the medians it prints each tree's quartiles, how many pairs
+this tree won, and each tree's cProfile calls per decision, from one
+untimed run of the workload at the gate's seed (every function and
+builtin call, summed over the profile's entries).  The count does not
+depend on the host's speed, so it shows a change in work that the timed
+pairs may be too noisy to show.  These are reported, never gated.
 
 Run from the repository root, with the parent commit checked out
 beside it and the parent's runtime dependencies installed (a dependency
@@ -79,6 +80,12 @@ def calls_per_decision(tree: Path, workload: str) -> str:
     return f"{float(done.stdout):.2f}"
 
 
+def quartiles(rates: list[float]) -> str:
+    """First and third quartile, interpolated as perfbench does."""
+    low, _, high = statistics.quantiles(rates, n=4, method="inclusive")
+    return f"{low:,.0f}-{high:,.0f}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -104,9 +111,12 @@ def main(argv: list[str] | None = None) -> int:
         floor = parent * (1 - bound)
         verdict = "ok" if change >= floor else "REGRESSION"
         calls = {name: calls_per_decision(trees[name], workload) for name in trees}
+        won = sum(c > p for c, p in zip(rates["change"], rates["parent"]))
         print(
-            f"perf_gate: {workload}: median {change:,.0f} decisions/s, parent "
-            f"{parent:,.0f}, floor {floor:,.0f} (bound {bound}): {verdict}; "
+            f"perf_gate: {workload}: median {change:,.0f} decisions/s "
+            f"(quartiles {quartiles(rates['change'])}), parent {parent:,.0f} "
+            f"({quartiles(rates['parent'])}), won {won} of {PAIRS} pairs, "
+            f"floor {floor:,.0f} (bound {bound}): {verdict}; "
             f"calls per decision {calls['change']}, parent {calls['parent']}"
         )
         failed |= change < floor

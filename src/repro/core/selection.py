@@ -34,6 +34,15 @@ fixed weights, so they build one table per refused set and keep it;
 WD/D+H and WD/D+H+B build one per draw from their live weights.
 WD/D+B builds the same table in one pass over the link-state columns,
 without the weight vector (see its docstring).
+
+WD/D+B and WD/D+H+B keep their last column scan.  Every write to the
+columns advances their ``writes`` counter, so while the columns object
+read (the live one, or a snapshot's current copy) is the same and its
+counter has not moved, the kept scores are exactly what a new scan
+would give, and the selector reuses them.  A refused reservation writes
+nothing, so the retries of one atomic decision draw from the first
+attempt's scan; on the signalled plane a retry reuses it only when no
+message, departure or fault wrote in between.
 """
 
 from __future__ import annotations
@@ -51,8 +60,10 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
+    from repro.network.link import LinkStateArrays
     from repro.network.state import SnapshotBandwidthView
 
+from repro import invariants as _invariants
 from repro.core.history import AdmissionHistory
 from repro.flows.group import AnycastGroup
 from repro.network.routing import RouteTable
@@ -385,6 +396,16 @@ class _BandwidthScoredSelector(_WeightedSelectorBase):
     source is a member) is free to use and takes all the weight without
     a read.
 
+    The last scan's scores and their ``sum()`` are kept with the columns
+    object they were read from and its ``writes`` count.  They are
+    reused while the columns read are that same object and the count
+    has not moved: no write happened in between, so a new scan would
+    give the same floats.  A snapshot's refresh is a new object, and
+    every writer of the columns advances the count, so the rule holds on
+    every plane without knowing which one it runs on.  With the
+    sanitizer on (:mod:`repro.invariants`), each reuse is checked
+    against a new scan.
+
     Parameters
     ----------
     snapshot:
@@ -411,17 +432,30 @@ class _BandwidthScoredSelector(_WeightedSelectorBase):
             (route.resolve_link_indices(network), distance)
             for route, distance in zip(context.routes.routes(), self._distances)
         ]
+        #: The last scan: the columns read, their ``writes`` count then,
+        #: and the scores with their ``sum()``.
+        self._scanned: Optional[LinkStateArrays] = None
+        self._scanned_writes = 0
+        self._scores: list[float] = []
+        self._total = 0.0
 
     def _zero_hop_weights(self) -> list[float]:
         return [1.0 if distance == 0 else 0.0 for distance in self._distances]
 
-    def _column_scores(self) -> list[float]:
-        """Each member's score from one scan of the columns.
+    def _column_scores(self) -> tuple[list[float], float]:
+        """Each member's score and their ``sum()``, from the last scan
+        while the columns have not changed, else from a new one.
 
-        Never called with a zero-hop route, whose ``D_i`` is 0.
+        Never called with a zero-hop route, whose ``D_i`` is 0.  The
+        returned list is the kept one: callers must not change it.
         """
         snapshot = self.snapshot
         columns = self._live if snapshot is None else snapshot.columns()
+        kept: Optional[list[float]] = None
+        if columns is self._scanned and columns.writes == self._scanned_writes:
+            if not _invariants.enabled:
+                return self._scores, self._total
+            kept = self._scores  # the sanitizer checks it against a new scan
         capacity = columns.capacity
         reserved = columns.reserved
         scores: list[float] = []
@@ -433,7 +467,18 @@ class _BandwidthScoredSelector(_WeightedSelectorBase):
                     bandwidth = available
             # max(0, B) / D: a non-positive (or NaN) B scores 0.0 / D.
             scores.append(bandwidth / distance if bandwidth > 0.0 else 0.0)
-        return scores
+        if kept is not None:
+            if scores != kept:
+                raise _invariants.InvariantViolation(
+                    f"{self.name}: kept scores {kept!r} differ from {scores!r}, "
+                    "a new scan of columns whose write counter has not moved"
+                )
+            return kept, self._total
+        self._scanned = columns
+        self._scanned_writes = columns.writes
+        self._scores = scores
+        total = self._total = sum(scores)
+        return scores, total
 
 
 class DistanceBandwidthWeighted(_BandwidthScoredSelector):
@@ -450,8 +495,9 @@ class DistanceBandwidthWeighted(_BandwidthScoredSelector):
     the selector falls back to inverse-distance weights so the draw
     stays well defined.
 
-    The draw table comes from one pass: one scan of the link-state
-    columns for the scores, then the normalisation and running sums of
+    The draw table comes from one pass: the scores of one scan of the
+    link-state columns (kept across a decision's retries while the
+    columns are unchanged), then the normalisation and running sums of
     :func:`cumulative_table`, without building the weight vector first.
     A zero-hop route and all-zero bottlenecks take the generic table
     over :meth:`weights`.
@@ -462,32 +508,43 @@ class DistanceBandwidthWeighted(_BandwidthScoredSelector):
     def weights(self) -> list[float]:
         if self._zero_hop:
             return self._zero_hop_weights()
-        scores = self._column_scores()
-        total = sum(scores)
+        scores, total = self._column_scores()
         if total <= 0:
             return distance_weights(self._distances)
         return [score / total for score in scores]
 
     def _table(self, exclude: AbstractSet[NodeId]) -> Table:
-        # The table cumulative_table builds over weights(), from one
-        # scan of the columns.  sum() must stay: it rounds differently
-        # from a running total on some interpreters.
+        # The table cumulative_table builds over weights(), with the
+        # same float operations in the same order.  Both sum() calls
+        # must stay: sum() rounds differently from a running total on
+        # some interpreters.
         if self._zero_hop:
             return super()._table(exclude)
-        scores = self._column_scores()
-        total = sum(scores)
+        scores, total = self._column_scores()
         if not 0.0 < total < math.inf:
             return super()._table(exclude)
-        if exclude:
-            return cumulative_table(
-                self._members, [score / total for score in scores], exclude
-            )
-        running = 0.0
         cumulative: list[float] = []
-        for score in scores:
-            running += score / total
+        running = 0.0
+        if not exclude:
+            for score in scores:
+                running += score / total
+                cumulative.append(running)
+            return self._members, cumulative
+        candidates: list[NodeId] = []
+        kept: list[float] = []
+        for member, score in zip(self._members, scores):
+            if member not in exclude:
+                candidates.append(member)
+                kept.append(score / total)
+        if not candidates:
+            raise ValueError("all group members excluded")
+        kept_total = sum(kept)
+        if kept_total <= 0:  # only zero scores left: uniform, as _renormalize
+            return cumulative_table(candidates, _renormalize(kept))
+        for weight in kept:
+            running += weight / kept_total
             cumulative.append(running)
-        return self._members, cumulative
+        return candidates, cumulative
 
 
 class HybridWeighted(_BandwidthScoredSelector):
@@ -523,7 +580,7 @@ class HybridWeighted(_BandwidthScoredSelector):
     def weights(self) -> list[float]:
         if self._zero_hop:
             return self._zero_hop_weights()
-        scores = self._column_scores()
+        scores = self._column_scores()[0]
         alpha = self.alpha
         scores = [
             score * alpha**failures

@@ -21,7 +21,8 @@ rationale and examples):
     All link-bandwidth mutation goes through the
     ``Network.reserve_links`` / ``Link.release`` API.  Direct writes
     to :class:`~repro.network.link.LinkStateArrays` columns
-    (``state.reserved[i] = ...``) are only legal inside ``network/``.
+    (``state.reserved[i] = ...``) and to their ``writes`` counter
+    are only legal inside ``network/``.
 ``R4``
     No ``==``/``!=`` on simulation timestamps.  Exact float equality
     on times is almost always a latent tie-break or NaN bug; an
@@ -57,7 +58,7 @@ __all__ = [
 ALL_RULES: dict[str, str] = {
     "R1": "unseeded randomness or wall-clock time; use sim.random_streams",
     "R2": "iteration over an unordered set in a determinism-critical module",
-    "R3": "direct LinkStateArrays column write outside network/",
+    "R3": "direct LinkStateArrays column or counter write outside network/",
     "R4": "==/!= comparison on simulation timestamps",
     "R5": "reservation acquired on some path without release/lease hand-off",
     "R6": "signaling-handler discipline: injected streams, Link API, "
@@ -441,12 +442,14 @@ class _R2Visitor(ast.NodeVisitor):
 # ---------------------------------------------------------------------------
 # R3: direct LinkStateArrays column writes
 # ---------------------------------------------------------------------------
-_COLUMNS = ("reserved", "capacity")
+#: The two columns and the write counter that readers trust to move
+#: with every column write.
+_COLUMNS = ("reserved", "capacity", "writes")
 _MUTATORS = frozenset({"append", "extend", "insert", "pop", "remove", "clear"})
 
 
 def _column_attr(node: ast.expr) -> Optional[str]:
-    """``state.reserved[...]`` / ``x.capacity`` -> the column name."""
+    """``state.reserved[...]`` / ``x.capacity`` / ``x.writes`` -> the name."""
     if isinstance(node, ast.Subscript):
         node = node.value
     if isinstance(node, ast.Attribute) and node.attr in _COLUMNS:
@@ -466,7 +469,7 @@ class _R3Visitor(ast.NodeVisitor):
                 node.lineno,
                 node.col_offset,
                 "R3",
-                f"direct write to the {column!r} column; go through "
+                f"direct write to LinkStateArrays.{column}; go through "
                 "Network.reserve_links / Link.release",
             )
         )

@@ -84,7 +84,7 @@ class FaultState:
     cable's links read :data:`DOWN_CAPACITY_BPS` in the capacity column
     until :meth:`repair` writes back the nominal capacities that
     :meth:`fail` saved; those saved values are the only record of which
-    cables are down.
+    cables are down.  Both advance the columns' ``writes`` counter.
     """
 
     def __init__(self, network: Network) -> None:
@@ -118,7 +118,8 @@ class FaultState:
         cable = self._cable(u, v)
         if cable in self._nominal:
             return []
-        capacity = self.network.link_state.capacity
+        state = self.network.link_state
+        capacity = state.capacity
         killed: list[FlowId] = []
         saved: list[tuple[int, float]] = []
         for a, b in ((u, v), (v, u)):
@@ -131,6 +132,7 @@ class FaultState:
                     killed.append(flow_id)
                 saved.append((link.index, capacity[link.index]))
                 capacity[link.index] = DOWN_CAPACITY_BPS
+                state.writes += 1
                 if _invariants.enabled:
                     _invariants.check_link(link)
         self._nominal[cable] = saved
@@ -144,9 +146,10 @@ class FaultState:
         saved = self._nominal.pop(self._cable(u, v), None)
         if saved is None:
             return
-        capacity = self.network.link_state.capacity
+        state = self.network.link_state
         for index, nominal in saved:
-            capacity[index] = nominal
+            state.capacity[index] = nominal
+        state.writes += 1
         self.events.append(FaultEvent(time=now, link=(u, v), failed=False))
 
 

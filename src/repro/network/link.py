@@ -61,15 +61,22 @@ class LinkStateArrays:
     incrementally, so results are bit-identical to per-link
     accounting.
 
+    ``writes`` counts the writes to either column after construction:
+    every writer (:func:`reserve_links` once it writes,
+    :meth:`Link.release`, and a fault's fail and repair) advances it.
+    While it has not moved, both columns read exactly as they did, so a
+    reader may keep what it computed from them (the WD/D+B scan does).
+
     The ``array('d')`` columns support the buffer protocol, so numpy
     consumers can wrap them zero-copy with ``numpy.frombuffer``.
     """
 
-    __slots__ = ("capacity", "reserved")
+    __slots__ = ("capacity", "reserved", "writes")
 
     def __init__(self) -> None:
         self.capacity = array("d")
         self.reserved = array("d")
+        self.writes = 0
 
     def __len__(self) -> int:
         return len(self.capacity)
@@ -251,6 +258,7 @@ class Link:
         state = self._state
         index = self._index
         state.reserved[index] -= bandwidth
+        state.writes += 1
         if not reservations or state.reserved[index] < 0:
             # Snap accumulated floating-point drift: with an empty
             # ledger the reserved total is exactly zero by definition,
@@ -291,13 +299,14 @@ def reserve_links(
     ``Network.reserve_links``.  All or nothing, in the paper's PATH
     then RESV order: every hop is tested in route order first, and
     only when every hop passed are the ledgers and the links'
-    :class:`LinkStateArrays` slots written.  A refusal therefore
-    writes nothing.  Each hop that passes the test counts a grant (one
-    PATH probe), also when a later hop refuses; the refusing hop counts
-    a rejection and ``False`` is returned.  Returns ``True`` once every
-    link holds the reservation.  ``links`` are distinct, as on any
-    route, so each test reads the state no earlier hop of this call
-    could have changed.
+    :class:`LinkStateArrays` slots written, each write advancing its
+    store's ``writes`` counter.  A refusal therefore writes nothing and
+    leaves the counter where it was.  Each hop that passes the test
+    counts a grant (one PATH probe), also when a later hop refuses; the
+    refusing hop counts a rejection and ``False`` is returned.  Returns
+    ``True`` once every link holds the reservation.  ``links`` are
+    distinct, as on any route, so each test reads the state no earlier
+    hop of this call could have changed.
 
     Raises
     ------
@@ -332,12 +341,15 @@ def reserve_links(
     amount = float(bandwidth_bps)
     ledger[flow_id] = amount
     reserved[index] += amount
+    state.writes += 1
     if links[0] is not link:
         for earlier in links:
             if earlier is link:
                 break
             earlier._reservations[flow_id] = amount
-            earlier._state.reserved[earlier._index] += amount
+            state = earlier._state
+            state.reserved[earlier._index] += amount
+            state.writes += 1
     if _invariants.enabled:
         for link in links:
             _invariants.check_link(link)

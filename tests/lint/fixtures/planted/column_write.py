@@ -19,3 +19,7 @@ def grow(state, value: float) -> None:
 
 def read_only(state, index: int) -> float:
     return state.capacity[index] - state.reserved[index]  # line 21: R6 only
+
+
+def bump(state) -> None:
+    state.writes += 1  # line 25: R3 (write counter)

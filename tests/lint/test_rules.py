@@ -95,9 +95,14 @@ class TestR3ColumnWrites:
     def test_catches_capacity_mutator(self):
         assert codes("state.capacity.append(1.0)\n", {"R3"}) == ["R3"]
 
+    def test_catches_write_counter(self):
+        assert codes("state.writes += 1\n", {"R3"}) == ["R3"]
+        assert codes("state.writes = 0\n", {"R3"}) == ["R3"]
+
     def test_allows_reads(self):
         source = "available = state.capacity[i] - state.reserved[i]\n"
         assert codes(source, {"R3"}) == []
+        assert codes("seen = state.writes\n", {"R3"}) == []
 
 
 class TestR4TimestampEquality:
@@ -189,6 +194,7 @@ class TestPlantedFixtures:
         ("column_write.py", 9, "R3"),
         ("column_write.py", 13, "R3"),
         ("column_write.py", 17, "R3"),
+        ("column_write.py", 25, "R3"),
         # Fixture files sit outside repro/, so they also get the
         # R6 column-access rule on top of R3's write-only check.
         ("column_write.py", 9, "R6"),

@@ -33,6 +33,18 @@ class TestFaultState:
         faults.repair(1, 2)
         assert not faults.is_down(1, 2)
 
+    def test_fail_and_repair_advance_the_write_counter(self, network):
+        # An idle cable: its fail writes the capacity column only, with
+        # no release to advance the counter for it.
+        faults = FaultState(network)
+        state = network.link_state
+        before = state.writes
+        faults.fail(1, 2)
+        assert state.writes > before
+        before = state.writes
+        faults.repair(1, 2)
+        assert state.writes > before
+
     def test_fail_releases_crossing_reservations(self, network):
         faults = FaultState(network)
         network.link(1, 2).reserve("f1", 64_000.0)

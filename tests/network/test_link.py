@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.network.link import InsufficientBandwidthError, Link
-from repro.network.topologies import mci_backbone
+from repro.network.link import InsufficientBandwidthError, Link, reserve_links
+from repro.network.topologies import line, mci_backbone
 from repro.network.topology import Network
 
 
@@ -169,6 +169,60 @@ class TestCanAdmit:
         link.reserve("b", 0.1)
         # 0.3 - 0.1 - 0.1 may be 0.09999...; tolerance must accept 0.1.
         assert link.can_admit(0.1)
+
+
+class TestWriteCounter:
+    """Every write to the columns advances ``writes``; a read, a refusal
+    or a raised error leaves it where it was."""
+
+    def test_reserve_links_advances_once_it_writes(self):
+        network = line(4, capacity_bps=100.0)
+        links = network.path_links((0, 1, 2, 3))
+        state = network.link_state
+        before = state.writes
+        assert reserve_links(links, "f", 40.0)
+        assert state.writes > before
+
+    def test_reserve_links_advances_every_store_it_writes(self):
+        # Stand-alone links each keep a private store.
+        links = [Link(0, 1, capacity_bps=100.0), Link(1, 2, capacity_bps=100.0)]
+        before = [link.state.writes for link in links]
+        assert reserve_links(links, "f", 40.0)
+        assert all(link.state.writes > seen for link, seen in zip(links, before))
+
+    @pytest.mark.parametrize("refusing_hop", [0, 2])
+    def test_refused_reserve_links_leaves_it(self, refusing_hop):
+        network = line(4, capacity_bps=100.0)
+        links = network.path_links((0, 1, 2, 3))
+        assert reserve_links([links[refusing_hop]], "big", 80.0)
+        state = network.link_state
+        before = state.writes
+        assert not reserve_links(links, "f", 40.0)
+        with pytest.raises(ValueError):
+            reserve_links(links, "big", 1.0)
+        assert state.writes == before
+
+    def test_can_admit_leaves_it(self):
+        link = Link(0, 1, capacity_bps=100.0)
+        link.reserve("f", 40.0)
+        before = link.state.writes
+        assert link.can_admit(60.0)
+        assert not link.can_admit(61.0)
+        assert link.state.writes == before
+
+    def test_release_advances_on_both_paths(self):
+        link = Link(0, 1, capacity_bps=100.0)
+        link.reserve("f1", 40.0)
+        link.reserve("f2", 30.0)
+        # A release that leaves a holder: the plain subtraction.
+        before = link.state.writes
+        link.release("f1")
+        assert link.state.writes > before
+        # The last release empties the ledger: the drift snap.
+        before = link.state.writes
+        link.release("f2")
+        assert link.state.writes > before
+        assert link.reserved_bps == 0.0
 
 
 class TestReservedDriftRegression:

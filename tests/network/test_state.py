@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro import invariants
 from repro.core.selection import (
     DistanceBandwidthWeighted,
     HybridWeighted,
@@ -61,7 +62,7 @@ class TestLiveView:
         selector = bandwidth_selector(network, 9, MCI_GROUP_MEMBERS)
         routes = selector.context.routes.routes()
         network.reserve_links(routes[0].resolve_links(network), "f", 64_000.0)
-        assert selector._column_scores() == [
+        assert selector._column_scores()[0] == [
             min(link.available_bps for link in network.path_links(route.path))
             / route.distance
             for route in routes
@@ -69,6 +70,60 @@ class TestLiveView:
         assert bottleneck(network.link_state, routes[0], network) == (
             network.link(*routes[0].path[:2]).capacity_bps - 64_000.0
         )
+
+
+class TestKeptScan:
+    """A bandwidth selector reuses its last scan until the columns it
+    reads are another object or their write counter has moved."""
+
+    @pytest.mark.parametrize("selector", [DistanceBandwidthWeighted, HybridWeighted])
+    def test_reused_until_a_write(self, selector):
+        network = line(5, capacity_bps=10 * 64_000.0)
+        chooser = bandwidth_selector(network, 2, (0, 4), selector=selector)
+        scores, total = chooser._column_scores()
+        assert chooser._column_scores()[0] is scores
+        # A refused reservation writes nothing: the scan is kept.
+        assert not network.reserve_links(
+            network.path_links((2, 3, 4)), "big", 11 * 64_000.0
+        )
+        assert chooser._column_scores()[0] is scores
+        network.link(2, 3).reserve("f", 64_000.0)
+        assert chooser._column_scores() == ([320_000.0, 288_000.0], 608_000.0)
+
+    def test_a_repair_alone_forces_a_new_scan(self):
+        # The repair writes the capacity column and nothing else: no
+        # reservation, release or refresh moves the counter for it.
+        network = line(5, capacity_bps=10 * 64_000.0)
+        chooser = bandwidth_selector(network, 2, (0, 4))
+        faults = FaultState(network)
+        faults.fail(3, 4)
+        assert chooser.weights() == [1.0, 0.0]
+        faults.repair(3, 4)
+        assert chooser.weights() == [0.5, 0.5]
+
+    def test_a_snapshot_refresh_forces_a_new_scan(self, network):
+        clock = {"t": 0.0}
+        snapshot = SnapshotBandwidthView(network, lambda: clock["t"], 10.0)
+        chooser = bandwidth_selector(network, 0, (2, 3), snapshot)
+        scores, _ = chooser._column_scores()
+        network.link(0, 1).reserve("f", 64_000.0)
+        assert chooser._column_scores()[0] is scores  # the copy is unchanged
+        clock["t"] = 10.0
+        assert chooser._column_scores()[0] == [288_000.0, 192_000.0]
+
+    def test_sanitizer_catches_a_write_that_skips_the_counter(self):
+        network = line(5, capacity_bps=10 * 64_000.0)
+        chooser = bandwidth_selector(network, 2, (0, 4))
+        chooser.weights()
+        link = network.link(2, 3)
+        network.link_state.reserved[link.index] = 64_000.0  # counter not moved
+        previous = invariants.is_enabled()
+        invariants.set_enabled(True)
+        try:
+            with pytest.raises(invariants.InvariantViolation, match="new scan"):
+                chooser.weights()
+        finally:
+            invariants.set_enabled(previous)
 
 
 class TestSnapshotView:

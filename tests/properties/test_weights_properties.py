@@ -8,6 +8,7 @@ sequences.
 
 from bisect import bisect_right
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.core.selection import (
     distance_weights,
 )
 from repro.flows.group import AnycastGroup
+from repro.network.faults import FaultState
 from repro.network.routing import RouteTable
 from repro.network.state import SnapshotBandwidthView
 from repro.network.topologies import (
@@ -355,3 +357,91 @@ class TestOnePassDrawMatchesWeightedChoice:
             assert (pick == 4) == (not refused)
         assert draw_rng.draws == chain_rng.draws == 30
         assert draw_rng.uniform() == chain_rng.uniform()
+
+
+def bits(table):
+    """A draw table with every float as its exact bit pattern."""
+    candidates, cumulative = table
+    return list(candidates), [value.hex() for value in cumulative]
+
+
+#: A spoke of the star: free (with a load fraction), full or down.
+spoke_states = st.one_of(st.floats(0.0, 1.0), st.just("full"), st.just("down"))
+
+
+class TestRetryTableMatchesCumulativeTable:
+    """WD/D+B's table over its kept scan is ``cumulative_table`` over
+    ``weights()``, bit for bit, for every refused set of a decision."""
+
+    @staticmethod
+    def star_selector(states):
+        network, context = make_star_context(len(states))
+        faults = FaultState(network)
+        for leaf, state in enumerate(states, start=1):
+            link = network.link(0, leaf)
+            if state == "down":  # reads DOWN_CAPACITY_BPS, below zero
+                faults.fail(0, leaf)
+            else:
+                fraction = 1.0 if state == "full" else state
+                load = fraction * link.capacity_bps
+                assert network.reserve_links([link], f"load{leaf}", load)
+        return DistanceBandwidthWeighted(context)
+
+    def assert_tables_match(self, selector, refusals):
+        members = selector.context.group.members
+        for refused in refusals:
+            if set(members) <= refused:
+                with pytest.raises(ValueError, match="all group members"):
+                    selector._table(refused)
+                continue
+            assert bits(selector._table(refused)) == bits(
+                cumulative_table(members, selector.weights(), refused)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=st.lists(spoke_states, min_size=2, max_size=6),
+        refusals=st.lists(
+            st.frozensets(st.integers(1, 6), max_size=6), min_size=1, max_size=6
+        ),
+    )
+    def test_star_states(self, states, refusals):
+        self.assert_tables_match(self.star_selector(states), refusals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        source=st.sampled_from(MCI_SOURCES),
+        loads=link_loads,
+        saturate_all=st.booleans(),
+        failed=st.lists(st.integers(0, 40), max_size=3),
+        refusals=st.lists(refused_sets, min_size=1, max_size=6),
+    )
+    def test_mci_states(self, source, loads, saturate_all, failed, refusals):
+        network, context = make_mci_context(source)
+        load_routes(network, context, loads, saturate_all)
+        route_links = sorted(
+            {
+                link
+                for route in context.routes.routes()
+                for link in route.resolve_links(network)
+            },
+            key=lambda link: link.index,
+        )
+        faults = FaultState(network)
+        for n in failed:
+            link = route_links[n % len(route_links)]
+            faults.fail(link.source, link.target)
+        self.assert_tables_match(DistanceBandwidthWeighted(context), refusals)
+
+    def test_only_zero_scores_left_draw_uniformly(self):
+        # Member 1 has bandwidth, the others none (one full, two down),
+        # so the scores sum above zero; once member 1 is refused only
+        # zero scores remain and the table falls back to uniform
+        # weights, as _renormalize does.
+        selector = self.star_selector([0.5, "full", "down", "down"])
+        assert selector.weights() == [1.0, 0.0, 0.0, 0.0]
+        self.assert_tables_match(selector, [frozenset({1}), frozenset({1, 3})])
+        assert selector._table(frozenset({1})) == (
+            [2, 3, 4],
+            cumulative_table([2, 3, 4], [1 / 3] * 3)[1],
+        )
