@@ -25,6 +25,16 @@ down by them.  :meth:`ACRouter.admit` returns that same record.
 The loop body is written once, here; the signalled router in
 :mod:`repro.signaling.admission` drives the same body from
 reservation callbacks instead of a ``while`` loop.
+
+The body reads two per-router constants, taken once when the router
+is built: the group size ``K`` handed to the retrial policy, and each
+member's fixed :class:`~repro.network.routing.Route`, indexed instead
+of asking the route table.  ED and WD/D return their no-refusal draw
+table, which every first attempt reads, without building the refused
+set's ``frozenset`` key (:mod:`repro.core.selection`).  The selector,
+retrial policy and reservation engine are still called through their
+instance attributes on every attempt: perfbench's tracer replaces
+those attributes after the router is built (``CONTRIBUTING.md``).
 """
 
 from __future__ import annotations
@@ -129,6 +139,10 @@ class ACRouter:
         )
         self.resample_failed = resample_failed
         self.routes = routes
+        #: The loop's per-router constants, read once: ``K`` and each
+        #: member's fixed route.
+        self._group_size = group.size
+        self._route_of = dict(zip(routes.members, routes.routes()))
         #: lifetime decision count
         self.requests_seen = 0
 
@@ -159,9 +173,10 @@ class ACRouter:
                 f"request source {request.source!r} does not match "
                 f"router source {self.source!r}"
             )
-        if request.group != self.group:
+        group = request.group
+        if group is not self.group and group != self.group:
             raise ValueError(
-                f"request group {request.group.address!r} does not match "
+                f"request group {group.address!r} does not match "
                 f"router group {self.group.address!r}"
             )
         if request.tried:
@@ -173,9 +188,9 @@ class ACRouter:
         """Draw the next destination; record and return the route to reserve."""
         excluded = request.excluded
         assert excluded is not None  # set by _open, dropped on conclusion
-        destination = self.selector.select(self.rng, exclude=excluded)
+        destination = self.selector.select(self.rng, excluded)
         request.tried.append(destination)
-        route = request.route = self.routes.route_to(destination)
+        route = request.route = self._route_of[destination]
         return route
 
     def _conclude(self, request: FlowRequest, success: bool, decided_at: float) -> bool:
@@ -199,9 +214,7 @@ class ACRouter:
                 excluded.add(destination)
                 distinct_tried = len(excluded)
             if self.retrial_policy.should_retry(
-                attempts_made=attempts,
-                distinct_tried=distinct_tried,
-                group_size=self.group.size,
+                attempts, distinct_tried, self._group_size
             ):
                 return False
             request.route = request.reservation_key = None

@@ -251,23 +251,34 @@ class _WeightedSelectorBase:
         # above uniform(0, total), else the last candidate.
         candidates, cumulative = self._table(exclude)
         index = bisect_right(cumulative, rng.uniform(0.0, cumulative[-1]))
-        if index == len(cumulative):
-            return candidates[-1]  # guard against floating-point edge at total
-        return candidates[index]
+        try:
+            return candidates[index]
+        except IndexError:  # guard against floating-point edge at total
+            return candidates[-1]
 
 
 class _StaticWeightedSelector(_WeightedSelectorBase):
     """A selector whose weights never change: one table per refused set.
 
     The tables are built on first use; with ``K`` members there are at
-    most ``2**K - 1`` of them.
+    most ``2**K - 1`` of them.  The no-refusal table, which every
+    decision's first draw reads, is kept apart and returned without
+    building the refused set's ``frozenset`` key.
     """
 
     def __init__(self, context: SelectionContext) -> None:
         super().__init__(context)
         self._tables: dict[frozenset[NodeId], Table] = {}
+        self._no_refusal: Optional[Table] = None
 
     def _table(self, exclude: AbstractSet[NodeId]) -> Table:
+        if not exclude:
+            table = self._no_refusal
+            if table is None:
+                table = self._no_refusal = cumulative_table(
+                    self._members, self.weights()
+                )
+            return table
         key = frozenset(exclude)
         table = self._tables.get(key)
         if table is None:

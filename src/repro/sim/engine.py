@@ -202,13 +202,17 @@ class Simulator:
 
         ``time`` must be finite and must not precede the current clock.
         """
-        time = float(time)
-        if math.isnan(time) or math.isinf(time):
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
+        # One comparison on the hot path, as in schedule: a float in
+        # [now, inf) (NaN fails the <= test).  Anything else is converted
+        # and checked here (cold path).
+        if not (time.__class__ is float and self._now <= time < _INF):
+            time = float(time)
+            if math.isnan(time) or math.isinf(time):
+                raise SimulationError(f"event time must be finite, got {time!r}")
+            if time < self._now:
+                raise SimulationError(
+                    f"cannot schedule event at {time} before current time {self._now}"
+                )
         event = Event(time, callback, self)
         self._live += 1
         heappush(self._heap, (time, next(self._sequence), event))
